@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -61,7 +62,6 @@ def cmd_train(args) -> int:
 def _extraction_config(args) -> extract.ExtractionConfig:
     return extract.ExtractionConfig(
         min_samples=args.mu,
-        n_threads=args.threads,
         include_input_layer=args.include_input_layer,
         layer_stride=args.layer_stride,
         sample_fraction=args.sample_fraction,
@@ -133,7 +133,7 @@ def cmd_feature_usage(args) -> int:
 _CROSSVAL_KEYS = {
     "task": str, "label_column": str, "net_preset": str, "weights": str,
     "method": str, "mu_min": int, "mu_max": int, "mu_step": int, "k": int,
-    "seed": int, "threads": int, "include_input_layer": bool, "layer_stride": int,
+    "seed": int, "include_input_layer": bool, "layer_stride": int,
     "sample_fraction": float, "rule_drop_pct": float, "winnow": bool,
     "class_weighted": bool, "out_dir": str, "select_by": str,
 }
@@ -187,7 +187,6 @@ def cmd_crossval(args) -> int:
 
     base = extract.ExtractionConfig(
         min_samples=2,
-        n_threads=cfg.get("threads", 1),
         include_input_layer=cfg.get("include_input_layer", False),
         layer_stride=cfg.get("layer_stride", 1),
         sample_fraction=cfg.get("sample_fraction", 1.0),
@@ -222,29 +221,10 @@ def cmd_crossval(args) -> int:
     data.export_folds(result.folds, out_dir / "folds.json")
 
     # feature-usage table of a representative best-mu extraction (first fold)
-    fold = result.folds[0]
-    train_idx = list(fold.train_indices)
-    best_cfg = extract.ExtractionConfig(
-        min_samples=result.best.mu, n_threads=base.n_threads,
-        include_input_layer=base.include_input_layer, layer_stride=base.layer_stride,
-        sample_fraction=base.sample_fraction, rule_drop_pct=base.rule_drop_pct,
-        winnow=base.winnow, class_weighted=base.class_weighted, seed=seed,
-    )
-    net0 = None
-    if cfg["method"] != "c5":
-        if nets is not None:
-            net0 = nets[0]
-        else:
-            preset = evaluation.NET_PRESETS[cfg["net_preset"]]
-            train_ds = data.Dataset(
-                ds.features[train_idx], ds.labels[train_idx], ds.feature_names, ds.class_names
-            )
-            net0 = mlp.train(
-                train_ds, preset.hidden_sizes, preset.activation,
-                mlp.TrainConfig(epochs=preset.epochs, batch_size=preset.batch_size, seed=seed),
-            )
+    train_idx = list(result.folds[0].train_indices)
     rs = extract.run_method(
-        cfg["method"], ds.features[train_idx], ds.labels[train_idx], net0, best_cfg,
+        cfg["method"], ds.features[train_idx], ds.labels[train_idx],
+        result.nets[0] if result.nets else None, replace(base, min_samples=result.best.mu),
         feature_names=ds.feature_names, num_classes=ds.num_classes,
     )
     usage = rules.feature_usage(rs, ds.num_features)
@@ -288,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", help="weight file (omit only for method c5)")
     p.add_argument("--method", required=True, choices=extract.METHOD_NAMES)
     p.add_argument("--mu", type=int, default=2, help="minimum samples for a split")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--include-input-layer", action="store_true")
     p.add_argument("--layer-stride", type=int, default=1)
     p.add_argument("--sample-fraction", type=float, default=1.0)

@@ -12,7 +12,7 @@ import hashlib
 import json
 import time
 import tracemalloc
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -167,6 +167,7 @@ class CrossvalResult:
     reports: list[EvaluationReport]
     best: EvaluationReport
     folds: list[FoldSplit]
+    nets: list[Mlp] | None  # one per fold; None for method c5
 
     def best_mu(self) -> int:
         return self.best.mu
@@ -230,17 +231,7 @@ def crossval(
     reports = []
     selection_scores = []
     for mu in mus:
-        cfg = ExtractionConfig(
-            min_samples=mu,
-            n_threads=base_cfg.n_threads,
-            include_input_layer=base_cfg.include_input_layer,
-            layer_stride=base_cfg.layer_stride,
-            sample_fraction=base_cfg.sample_fraction,
-            rule_drop_pct=base_cfg.rule_drop_pct,
-            winnow=base_cfg.winnow,
-            class_weighted=base_cfg.class_weighted,
-            seed=seed,
-        )
+        cfg = replace(base_cfg, min_samples=mu, seed=seed)
         cfg_payload = {"method": method, "k": k, "seed": seed, "net_preset": net_preset, **asdict(cfg)}
         report = EvaluationReport(method, mu, seed, _config_hash(cfg_payload))
         fold_selection = []
@@ -287,7 +278,7 @@ def crossval(
         )
 
     best = reports[int(np.argmax(selection_scores))]
-    return CrossvalResult(reports, best, folds)
+    return CrossvalResult(reports, best, folds, nets)
 
 
 TABLE_COLUMNS = (

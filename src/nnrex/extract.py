@@ -18,15 +18,13 @@ Four extraction families share one configuration:
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .data import class_weights_from_labels, stratified_sample_indices
-from .mlp import Mlp, activations, predict_labels
+from .mlp import Mlp, layer_outputs
 from .rules import (
-    OP_GT,
     Rule,
     RuleSet,
     canonicalize,
@@ -70,7 +68,6 @@ class ExtractionConfig:
     """
 
     min_samples: int = 2
-    n_threads: int = 1
     include_input_layer: bool = False
     layer_stride: int = 1
     sample_fraction: float = 1.0
@@ -82,8 +79,6 @@ class ExtractionConfig:
     def __post_init__(self):
         if self.min_samples < 2:
             raise ExtractError("min_samples must be >= 2")
-        if self.n_threads < 1:
-            raise ExtractError("n_threads must be >= 1")
         if self.layer_stride < 1:
             raise ExtractError("layer_stride must be >= 1")
         if not 0.0 < self.sample_fraction <= 1.0:
@@ -96,6 +91,13 @@ def _majority(labels: np.ndarray, num_classes: int) -> int:
     return int(np.argmax(np.bincount(labels, minlength=num_classes)))
 
 
+def _as_rows(X: np.ndarray) -> np.ndarray:
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if not np.isfinite(X).all():
+        raise ExtractError("data contains non-finite values")
+    return X
+
+
 def _maybe_subsample(X: np.ndarray, labels: np.ndarray, cfg: ExtractionConfig):
     if cfg.sample_fraction >= 1.0:
         return X, labels
@@ -104,10 +106,32 @@ def _maybe_subsample(X: np.ndarray, labels: np.ndarray, cfg: ExtractionConfig):
     return X[idx], labels[idx]
 
 
-def _binary_weights(truth: np.ndarray, enabled: bool) -> np.ndarray | None:
-    if not enabled:
-        return None
-    return class_weights_from_labels(truth.astype(int), 2)
+@dataclass(frozen=True)
+class _Prepared:
+    """The extraction rows and everything every method derives from them."""
+
+    X: np.ndarray
+    yhat: np.ndarray  # the network's predicted labels
+    default: int  # majority predicted label
+    label_weights: np.ndarray | None
+    layers: list[np.ndarray]  # outputs of layers 0..d+1 on X
+
+
+def _prepare(net: Mlp, X: np.ndarray, cfg: ExtractionConfig) -> _Prepared:
+    """Validate X, label it with the network, subsample it, and run the
+    network over the kept rows once."""
+    X = _as_rows(X)
+    if X.shape[1] != net.input_width:
+        raise ExtractError(f"data width {X.shape[1]} does not match network input {net.input_width}")
+    layers = layer_outputs(net, X)
+    X, yhat = _maybe_subsample(X, layers[-1].argmax(axis=1), cfg)
+    if cfg.sample_fraction < 1.0:
+        # a fresh pass rather than a row slice: BLAS may round a product
+        # over a different row count differently
+        layers = layer_outputs(net, X)
+    num_classes = net.num_classes
+    weights = class_weights_from_labels(yhat, num_classes) if cfg.class_weighted else None
+    return _Prepared(X, yhat, _majority(yhat, num_classes), weights, layers)
 
 
 def substitute_clause(
@@ -154,7 +178,7 @@ def clausewise_substitute(
     out: list[Rule] = []
     for rule in intermediate_rules:
         truth = premise_mask(rule.premise, H)
-        weights = _binary_weights(truth, class_weighted)
+        weights = class_weights_from_labels(truth.astype(int), 2) if class_weighted else None
         out.extend(substitute_clause(rule, X, truth, min_samples, weights, winnow))
     return out
 
@@ -168,6 +192,18 @@ def _selected_layers(net: Mlp, cfg: ExtractionConfig) -> list[int]:
     return layers
 
 
+def _clausewise_layers(net: Mlp, prep: _Prepared, cfg: ExtractionConfig) -> list[tuple[int, list[Rule]]]:
+    out = []
+    for layer in _selected_layers(net, cfg):
+        H = prep.layers[layer]
+        tree = induce(H, prep.yhat, cfg.min_samples, prep.label_weights, cfg.winnow, net.num_classes)
+        intermediate = drop_low_confidence(to_ruleset(tree, prep.default), cfg.rule_drop_pct)
+        out.append((layer, clausewise_substitute(
+            intermediate.rules, H, prep.X, cfg.min_samples, cfg.class_weighted, cfg.winnow
+        )))
+    return out
+
+
 def eclaire_layer_rules(
     net: Mlp,
     X: np.ndarray,
@@ -175,56 +211,12 @@ def eclaire_layer_rules(
 ) -> list[tuple[int, list[Rule]]]:
     """Per-layer clause-wise extraction, before merging.
 
-    Each selected layer is processed independently of the others: induce an
-    intermediate tree from its activations to the network's predicted
-    labels, optionally drop the lowest-confidence intermediate rules, then
-    substitute every surviving premise with input-space rules. Work is
-    distributed over ``cfg.n_threads`` and results are merged in a fixed
-    (layer, rule, leaf) order, so the output does not depend on the thread
-    count.
+    Each selected layer is processed independently of the others, in layer
+    order: induce an intermediate tree from its activations to the network's
+    predicted labels, optionally drop the lowest-confidence intermediate
+    rules, then substitute every surviving premise with input-space rules.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[1] != net.input_width:
-        raise ExtractError(f"data width {X.shape[1]} does not match network input {net.input_width}")
-    yhat = predict_labels(net, X)
-    X, yhat = _maybe_subsample(X, yhat, cfg)
-    num_classes = net.num_classes
-    default = _majority(yhat, num_classes)
-    selected = _selected_layers(net, cfg)
-    label_weights = class_weights_from_labels(yhat, num_classes) if cfg.class_weighted else None
-
-    def intermediate_for(layer: int) -> tuple[np.ndarray, list[Rule]]:
-        H = activations(net, X, layer)
-        tree = induce(H, yhat, cfg.min_samples, label_weights, cfg.winnow, num_classes)
-        rs = to_ruleset(tree, default)
-        rs = drop_low_confidence(rs, cfg.rule_drop_pct)
-        return H, list(rs.rules)
-
-    def substitution_for(args) -> list[Rule]:
-        H, rule = args
-        truth = premise_mask(rule.premise, H)
-        weights = _binary_weights(truth, cfg.class_weighted)
-        return substitute_clause(rule, X, truth, cfg.min_samples, weights, cfg.winnow)
-
-    if cfg.n_threads == 1:
-        intermediates = [intermediate_for(i) for i in selected]
-        tasks = [(H, r) for H, rule_list in intermediates for r in rule_list]
-        substituted = [substitution_for(t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.n_threads) as pool:
-            intermediates = list(pool.map(intermediate_for, selected))
-            tasks = [(H, r) for H, rule_list in intermediates for r in rule_list]
-            substituted = list(pool.map(substitution_for, tasks))
-
-    out: list[tuple[int, list[Rule]]] = []
-    pos = 0
-    for layer, (_, rule_list) in zip(selected, intermediates):
-        contributed: list[Rule] = []
-        for _ in rule_list:
-            contributed.extend(substituted[pos])
-            pos += 1
-        out.append((layer, contributed))
-    return out
+    return _clausewise_layers(net, _prepare(net, X, cfg), cfg)
 
 
 def eclaire(
@@ -238,13 +230,9 @@ def eclaire(
     Contributions of all selected layers are unioned and canonicalized. The
     default label is the majority predicted label of the extraction set.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    per_layer = eclaire_layer_rules(net, X, cfg)
-    yhat = predict_labels(net, X)
-    _, yhat_sub = _maybe_subsample(X, yhat, cfg)
-    default = _majority(yhat_sub, net.num_classes)
-    all_rules = [r for _, contributed in per_layer for r in contributed]
-    return canonicalize(RuleSet(tuple(all_rules), default, net.num_classes, feature_names))
+    prep = _prepare(net, X, cfg)
+    all_rules = [r for _, contributed in _clausewise_layers(net, prep, cfg) for r in contributed]
+    return canonicalize(RuleSet(tuple(all_rules), prep.default, net.num_classes, feature_names))
 
 
 def eclaire_star(
@@ -288,21 +276,14 @@ def _termwise_extract(
     keep_history: bool,
     stats: dict | None = None,
 ) -> RuleSet:
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[1] != net.input_width:
-        raise ExtractError(f"data width {X.shape[1]} does not match network input {net.input_width}")
     d = net.num_hidden
     if d == 0:
         raise ExtractError("term-wise extraction needs at least one hidden layer")
-    yhat = predict_labels(net, X)
-    X, yhat = _maybe_subsample(X, yhat, cfg)
-    num_classes = net.num_classes
-    default = _majority(yhat, num_classes)
-    label_weights = class_weights_from_labels(yhat, num_classes) if cfg.class_weighted else None
-
-    layer_acts = [activations(net, X, i) for i in range(d + 1)]
-    top_tree = induce(layer_acts[d], yhat, cfg.min_samples, label_weights, cfg.winnow, num_classes)
-    current = list(to_ruleset(top_tree, default).rules)
+    prep = _prepare(net, X, cfg)
+    top_tree = induce(
+        prep.layers[d], prep.yhat, cfg.min_samples, prep.label_weights, cfg.winnow, net.num_classes
+    )
+    current = list(to_ruleset(top_tree, prep.default).rules)
     history: list[list[Rule]] = [list(current)] if keep_history else []
 
     # live-rule accounting: how many rule objects the strategy keeps alive
@@ -312,8 +293,8 @@ def _termwise_extract(
     peak_live = len(current) + retained
 
     for layer in range(d, 0, -1):
-        prev_acts = layer_acts[layer - 1]
-        cur_acts = layer_acts[layer]
+        prev_acts = prep.layers[layer - 1]
+        cur_acts = prep.layers[layer]
         term_cache: dict = {}
         step_rules: list[Rule] = []
         seen: dict = {}
@@ -321,12 +302,9 @@ def _termwise_extract(
         for rule in current:
             for t in sorted(rule.premise):
                 if t not in term_cache:
-                    col = cur_acts[:, t.feature]
-                    truth = (col > t.threshold) if t.op == OP_GT else (col <= t.threshold)
-                    weights = _binary_weights(truth, cfg.class_weighted)
                     probe = Rule(frozenset([t]), 0, 1.0)
-                    term_cache[t] = substitute_clause(
-                        probe, prev_acts, truth, cfg.min_samples, weights, cfg.winnow
+                    term_cache[t] = clausewise_substitute(
+                        [probe], cur_acts, prev_acts, cfg.min_samples, cfg.class_weighted, cfg.winnow
                     )
             combos = 1
             for t in rule.premise:
@@ -362,7 +340,7 @@ def _termwise_extract(
     # deepred_star from remd)
     if stats is not None:
         stats["peak_live_rules"] = peak_live
-    result = RuleSet(tuple(current), default, num_classes, feature_names)
+    result = RuleSet(tuple(current), prep.default, net.num_classes, feature_names)
     del history
     return result
 
@@ -401,16 +379,9 @@ def pedc5(
     feature_names: tuple[str, ...] | None = None,
 ) -> RuleSet:
     """Pedagogical baseline: a single tree from inputs to predicted labels."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[1] != net.input_width:
-        raise ExtractError(f"data width {X.shape[1]} does not match network input {net.input_width}")
-    yhat = predict_labels(net, X)
-    X, yhat = _maybe_subsample(X, yhat, cfg)
-    num_classes = net.num_classes
-    weights = class_weights_from_labels(yhat, num_classes) if cfg.class_weighted else None
-    tree = induce(X, yhat, cfg.min_samples, weights, cfg.winnow, num_classes)
-    default = _majority(yhat, num_classes)
-    return canonicalize(to_ruleset(tree, default, feature_names))
+    prep = _prepare(net, X, cfg)
+    tree = induce(prep.X, prep.yhat, cfg.min_samples, prep.label_weights, cfg.winnow, net.num_classes)
+    return canonicalize(to_ruleset(tree, prep.default, feature_names))
 
 
 def c5_direct(
@@ -421,7 +392,7 @@ def c5_direct(
     feature_names: tuple[str, ...] | None = None,
 ) -> RuleSet:
     """Direct baseline: a single tree from inputs to true labels."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = _as_rows(X)
     y = np.asarray(y, dtype=int)
     if num_classes is None:
         num_classes = int(y.max()) + 1

@@ -110,29 +110,33 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def forward(net: Mlp, x: np.ndarray) -> np.ndarray:
-    """Class-probability output; accepts a single vector or a batch."""
-    return activations(net, x, net.num_hidden + 1)
-
-
-def activations(net: Mlp, x: np.ndarray, i: int) -> np.ndarray:
-    """Output of layer i: i=0 is the input itself, i=d+1 the softmax output,
-    otherwise the post-activation values of hidden layer i."""
-    if not 0 <= i <= net.num_hidden + 1:
-        raise MlpError(f"layer index {i} out of range [0, {net.num_hidden + 1}]")
+def layer_outputs(net: Mlp, x: np.ndarray) -> list[np.ndarray]:
+    """Every layer's output from one pass, indexed 0..d+1: 0 is the input
+    itself, d+1 the softmax output, the rest the post-activation values of
+    the hidden layers. Accepts a single vector or a batch."""
     x = np.asarray(x, dtype=float)
     squeeze = x.ndim == 1
     h = np.atleast_2d(x)
     if h.shape[1] != net.input_width:
         raise MlpError(f"input width {h.shape[1]} does not match network input {net.input_width}")
-    # i == d+1 runs all len(layers) == d+1 layers, ending in the softmax
-    for k in range(i):
-        z = h @ net.layers[k].weight.T + net.layers[k].bias
-        if k == len(net.layers) - 1:
-            h = _softmax(z)
-        else:
-            h = _apply_activation(z, net.layers[k].activation)
-    return h[0] if squeeze else h
+    outs = [h]
+    for k, layer in enumerate(net.layers):
+        z = h @ layer.weight.T + layer.bias
+        h = _softmax(z) if k == len(net.layers) - 1 else _apply_activation(z, layer.activation)
+        outs.append(h)
+    return [h[0] for h in outs] if squeeze else outs
+
+
+def forward(net: Mlp, x: np.ndarray) -> np.ndarray:
+    """Class-probability output; accepts a single vector or a batch."""
+    return layer_outputs(net, x)[-1]
+
+
+def activations(net: Mlp, x: np.ndarray, i: int) -> np.ndarray:
+    """Output of layer i, as indexed by :func:`layer_outputs`."""
+    if not 0 <= i <= net.num_hidden + 1:
+        raise MlpError(f"layer index {i} out of range [0, {net.num_hidden + 1}]")
+    return layer_outputs(net, x)[i]
 
 
 def predict_labels(net: Mlp, X: np.ndarray) -> np.ndarray:

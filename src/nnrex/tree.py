@@ -2,7 +2,8 @@
 
 Splits are chosen by gain ratio on class-weighted entropy, with candidate
 thresholds placed at midpoints between adjacent distinct values whose
-sample groups are not pure in the same class. Two standard guards keep the
+sample groups are not pure in the same class (at the lower value when the
+midpoint rounds up to the upper one). Two standard guards keep the
 inducer from chasing sampling noise:
 
 * the information gain of each candidate is corrected by log2(T)/N for the
@@ -164,6 +165,10 @@ def _best_for_feature(xcol, y, w, num_classes, parent_entropy) -> _FeatureSplit 
     i = int(np.argmax(ratios))  # first max: lowest threshold wins ties
     p = cut_pos[i]
     threshold = (xs[p] + xs[p + 1]) / 2.0
+    if threshold >= xs[p + 1]:
+        # the midpoint of two adjacent floats rounded up to the larger one;
+        # fall back to the lower observed value so the split still separates
+        threshold = xs[p]
     return _FeatureSplit(float(ratios[i]), float(threshold), float(adjusted[i]), best_raw_gain, n_candidates)
 
 
@@ -209,6 +214,8 @@ def induce(
     y = np.asarray(y, dtype=int)
     if X.shape[0] < 1:
         raise TreeError("empty input")
+    if not np.isfinite(X).all():
+        raise TreeError("non-finite feature values")
     if min_samples < 2:
         raise TreeError(f"min_samples must be >= 2, got {min_samples}")
     if y.shape != (X.shape[0],):
@@ -265,6 +272,7 @@ def induce(
         else:
             node.feature, node.threshold = split
             mask = X[idx, node.feature] <= node.threshold
+            assert mask.any() and not mask.all(), "split left a child empty"
             # push right first so the left subtree is numbered first
             stack.append((idx[~mask], nid, False))
             stack.append((idx[mask], nid, True))

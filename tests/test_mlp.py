@@ -61,6 +61,20 @@ class TestActivations:
         with pytest.raises(mlp.MlpError):
             mlp.activations(net, np.zeros(3), 3)
 
+    def test_layer_outputs_is_one_pass_over_every_layer(self):
+        net = random_net([3, 5, 4, 2], seed=3)
+        X = np.random.default_rng(1).normal(size=(6, 3))
+        outs = mlp.layer_outputs(net, X)
+        assert len(outs) == net.num_hidden + 2
+        h = X
+        for k, layer in enumerate(net.layers):
+            assert np.array_equal(outs[k], h)
+            z = h @ layer.weight.T + layer.bias
+            h = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True) if k == 2 else np.tanh(z)
+        assert np.allclose(outs[-1], h)
+        single = mlp.layer_outputs(net, X[0])
+        assert all(a.shape == b[0].shape and np.allclose(a, b[0]) for a, b in zip(single, outs))
+
 
 class TestPredictLabels:
     def test_argmax(self):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nnrex import tree
 from nnrex.rules import premise_mask
@@ -34,6 +36,21 @@ class TestInduce:
     def test_min_samples_below_two_rejected(self):
         with pytest.raises(tree.TreeError):
             tree.induce(np.zeros((3, 1)), np.array([0, 1, 0]), 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        X = np.array([[0.0, 1.0], [bad, 2.0], [1.0, 3.0]])
+        with pytest.raises(tree.TreeError, match="non-finite"):
+            tree.induce(X, np.array([0, 1, 0]), 2)
+
+    @pytest.mark.parametrize("lo, hi", [(0.3, np.nextafter(0.3, 1)), (1 - 2**-53, 1.0)])
+    def test_adjacent_floats_split_at_lower_value(self, lo, hi):
+        # the midpoint of these pairs rounds up to the larger value
+        assert (lo + hi) / 2 == hi
+        X = np.array([[lo], [lo], [hi], [hi]])
+        t = tree.induce(X, np.array([0, 0, 1, 1]), 2, winnow=False)
+        assert t.nodes[t.root].threshold == lo
+        assert t.leaf_count() == 2
 
     def test_empty_input_rejected(self):
         with pytest.raises(tree.TreeError):
@@ -190,3 +207,51 @@ class TestWinnow:
     def test_tiny_perfect_split_survives(self):
         kept = tree.winnow_features(np.array([[0.0], [1.0]]), np.array([0, 1]), np.ones(2), 2)
         assert list(kept) == [0]
+
+
+FINITE = st.floats(-1e6, 1e6, allow_nan=False) | st.sampled_from([0.3, 1 - 2**-53, -1.0])
+
+
+def assert_induction_partitions(X, y, min_samples, winnow):
+    """Induction returns, every split has two non-empty children, and the
+    leaf rules partition the rows."""
+    t = tree.induce(X, y, min_samples, winnow=winnow, num_classes=3)
+    assert t.nodes[t.root].n_samples == len(X)
+    for node in t.nodes:
+        if not node.is_leaf:
+            left, right = t.nodes[node.left], t.nodes[node.right]
+            assert left.n_samples > 0 and right.n_samples > 0
+            assert left.n_samples + right.n_samples == node.n_samples
+    fired = np.array([premise_mask(r.premise, X) for r in tree.to_ruleset(t, 0).rules])
+    assert np.array_equal(fired.sum(axis=0), np.ones(len(X)))
+
+
+def labels(n):
+    return st.lists(st.integers(0, 2), min_size=n, max_size=n).map(np.array)
+
+
+class TestTerminationProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data(), st.integers(2, 30), st.integers(1, 3), st.integers(2, 4), st.booleans())
+    def test_adjacent_float_columns(self, data, n, m, min_samples, winnow):
+        lo = np.array(data.draw(st.lists(FINITE, min_size=m, max_size=m)))
+        upper = np.array(data.draw(st.lists(st.booleans(), min_size=n * m, max_size=n * m)))
+        X = np.where(upper.reshape(n, m), np.nextafter(lo, np.inf), lo)
+        assert_induction_partitions(X, data.draw(labels(n)), min_samples, winnow)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data(), st.integers(2, 30), st.integers(1, 3), st.integers(2, 4), st.booleans())
+    def test_constant_columns(self, data, n, m, min_samples, winnow):
+        constant = data.draw(st.lists(FINITE, min_size=m, max_size=m))
+        varying = data.draw(st.lists(FINITE, min_size=n, max_size=n))
+        X = np.column_stack([np.full(n, c) for c in constant] + [varying])
+        assert_induction_partitions(X, data.draw(labels(n)), min_samples, winnow)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data(), st.integers(1, 6), st.integers(2, 30), st.integers(2, 4), st.booleans())
+    def test_duplicate_rows(self, data, k, n, min_samples, winnow):
+        pool = np.array(data.draw(st.lists(
+            st.lists(FINITE, min_size=2, max_size=2), min_size=k, max_size=k)))
+        picks = data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+        X = pool[picks]
+        assert_induction_partitions(X, data.draw(labels(n)), min_samples, winnow)
