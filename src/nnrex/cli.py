@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -103,10 +103,11 @@ def cmd_extract(args) -> int:
 def cmd_evaluate(args) -> int:
     ds = data.load_csv(args.data, args.label_column)
     rs = rules.deserialize(args.rules)
+    count, avg_len = rules.rule_stats(rs)
     metrics = {
         "accuracy": evaluation.accuracy(rs, ds.features, ds.labels),
-        "rule_count": rules.rule_stats(rs)[0],
-        "avg_rule_length": rules.rule_stats(rs)[1],
+        "rule_count": count,
+        "avg_rule_length": avg_len,
     }
     if ds.num_classes == 2 and rs.num_classes == 2:
         metrics["auc"] = evaluation.auc_binary(rs, ds.features, ds.labels)
@@ -185,16 +186,8 @@ def cmd_crossval(args) -> int:
     else:
         raise ConfigError(f"unknown task {task!r} (use 'xor' or 'csv:<path>')")
 
-    base = extract.ExtractionConfig(
-        min_samples=2,
-        include_input_layer=cfg.get("include_input_layer", False),
-        layer_stride=cfg.get("layer_stride", 1),
-        sample_fraction=cfg.get("sample_fraction", 1.0),
-        rule_drop_pct=cfg.get("rule_drop_pct", 0.0),
-        winnow=cfg.get("winnow", True),
-        class_weighted=cfg.get("class_weighted", False),
-        seed=seed,
-    )
+    knobs = {f.name for f in dataclasses.fields(extract.ExtractionConfig)}
+    base = extract.ExtractionConfig(**{key: v for key, v in cfg.items() if key in knobs})
     k = cfg.get("k", 5)
     nets = None
     if "weights" in cfg:
@@ -220,13 +213,8 @@ def cmd_crossval(args) -> int:
         fh.write("\n")
     data.export_folds(result.folds, out_dir / "folds.json")
 
-    # feature-usage table of a representative best-mu extraction (first fold)
-    train_idx = list(result.folds[0].train_indices)
-    rs = extract.run_method(
-        cfg["method"], ds.features[train_idx], ds.labels[train_idx],
-        result.nets[0] if result.nets else None, replace(base, min_samples=result.best.mu),
-        feature_names=ds.feature_names, num_classes=ds.num_classes,
-    )
+    # feature-usage table of the best report's first-fold rule set
+    rs = result.best_rules[0]
     usage = rules.feature_usage(rs, ds.num_features)
     with open(out_dir / "feature_usage.csv", "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -84,16 +84,9 @@ def _mann_whitney_auc(scores: np.ndarray, y: np.ndarray) -> float:
     n_neg = int((y == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise EvalError("auc needs both classes present")
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(len(scores))
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # midrank, 1-based
-        i = j + 1
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    # 1-based midrank of each tied group: its last rank minus half its spread
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
     rank_sum_pos = ranks[y == 1].sum()
     u = rank_sum_pos - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
@@ -168,6 +161,7 @@ class CrossvalResult:
     best: EvaluationReport
     folds: list[FoldSplit]
     nets: list[Mlp] | None  # one per fold; None for method c5
+    best_rules: list[RuleSet]  # the rule set each fold extracted for ``best``
 
     def best_mu(self) -> int:
         return self.best.mu
@@ -229,12 +223,13 @@ def crossval(
             )
 
     reports = []
-    selection_scores = []
+    best_i, best_score, best_rules = 0, -np.inf, []
     for mu in mus:
         cfg = replace(base_cfg, min_samples=mu, seed=seed)
         cfg_payload = {"method": method, "k": k, "seed": seed, "net_preset": net_preset, **asdict(cfg)}
         report = EvaluationReport(method, mu, seed, _config_hash(cfg_payload))
         fold_selection = []
+        fold_rules = []
         for f, fold in enumerate(folds):
             train_idx = np.array(fold.train_indices)
             test_idx = np.array(fold.test_indices)
@@ -270,15 +265,15 @@ def crossval(
             report.fold_avg_rule_length.append(avg_len)
             report.fold_seconds.append(seconds)
             report.fold_peak_bytes.append(peak)
+            fold_rules.append(rs)
             if select_by == "validation":
                 fold_selection.append(accuracy(rs, X_train[val_idx], y_train[val_idx]))
         reports.append(report)
-        selection_scores.append(
-            report.mean_accuracy if select_by == "test_accuracy" else float(np.mean(fold_selection))
-        )
+        selection = report.mean_accuracy if select_by == "test_accuracy" else float(np.mean(fold_selection))
+        if selection > best_score:  # the first best grid point wins ties
+            best_i, best_score, best_rules = len(reports) - 1, selection, fold_rules
 
-    best = reports[int(np.argmax(selection_scores))]
-    return CrossvalResult(reports, best, folds, nets)
+    return CrossvalResult(reports, reports[best_i], folds, nets, best_rules)
 
 
 TABLE_COLUMNS = (

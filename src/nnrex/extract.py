@@ -27,9 +27,9 @@ from .mlp import Mlp, layer_outputs
 from .rules import (
     Rule,
     RuleSet,
+    add_canonical,
     canonicalize,
     drop_low_confidence,
-    normalize_premise,
     premise_mask,
 )
 from .tree import induce, to_ruleset
@@ -87,10 +87,6 @@ class ExtractionConfig:
             raise ExtractError("rule_drop_pct must be in [0, 100]")
 
 
-def _majority(labels: np.ndarray, num_classes: int) -> int:
-    return int(np.argmax(np.bincount(labels, minlength=num_classes)))
-
-
 def _as_rows(X: np.ndarray) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if not np.isfinite(X).all():
@@ -98,12 +94,15 @@ def _as_rows(X: np.ndarray) -> np.ndarray:
     return X
 
 
-def _maybe_subsample(X: np.ndarray, labels: np.ndarray, cfg: ExtractionConfig):
-    if cfg.sample_fraction >= 1.0:
-        return X, labels
-    rng = np.random.default_rng(cfg.seed)
-    idx = stratified_sample_indices(labels, cfg.sample_fraction, rng)
-    return X[idx], labels[idx]
+def _labelled(X: np.ndarray, labels: np.ndarray, cfg: ExtractionConfig, num_classes: int):
+    """The rows a tree is induced from: (X, labels, majority label, class
+    weights or None), after the seeded stratified subsample."""
+    if cfg.sample_fraction < 1.0:
+        rng = np.random.default_rng(cfg.seed)
+        idx = stratified_sample_indices(labels, cfg.sample_fraction, rng)
+        X, labels = X[idx], labels[idx]
+    weights = class_weights_from_labels(labels, num_classes) if cfg.class_weighted else None
+    return X, labels, int(np.argmax(np.bincount(labels, minlength=num_classes))), weights
 
 
 @dataclass(frozen=True)
@@ -111,7 +110,7 @@ class _Prepared:
     """The extraction rows and everything every method derives from them."""
 
     X: np.ndarray
-    yhat: np.ndarray  # the network's predicted labels
+    labels: np.ndarray  # the network's predicted labels
     default: int  # majority predicted label
     label_weights: np.ndarray | None
     layers: list[np.ndarray]  # outputs of layers 0..d+1 on X
@@ -124,14 +123,12 @@ def _prepare(net: Mlp, X: np.ndarray, cfg: ExtractionConfig) -> _Prepared:
     if X.shape[1] != net.input_width:
         raise ExtractError(f"data width {X.shape[1]} does not match network input {net.input_width}")
     layers = layer_outputs(net, X)
-    X, yhat = _maybe_subsample(X, layers[-1].argmax(axis=1), cfg)
+    X, labels, default, weights = _labelled(X, layers[-1].argmax(axis=1), cfg, net.num_classes)
     if cfg.sample_fraction < 1.0:
         # a fresh pass rather than a row slice: BLAS may round a product
         # over a different row count differently
         layers = layer_outputs(net, X)
-    num_classes = net.num_classes
-    weights = class_weights_from_labels(yhat, num_classes) if cfg.class_weighted else None
-    return _Prepared(X, yhat, _majority(yhat, num_classes), weights, layers)
+    return _Prepared(X, labels, default, weights, layers)
 
 
 def substitute_clause(
@@ -196,7 +193,7 @@ def _clausewise_layers(net: Mlp, prep: _Prepared, cfg: ExtractionConfig) -> list
     out = []
     for layer in _selected_layers(net, cfg):
         H = prep.layers[layer]
-        tree = induce(H, prep.yhat, cfg.min_samples, prep.label_weights, cfg.winnow, net.num_classes)
+        tree = induce(H, prep.labels, cfg.min_samples, prep.label_weights, cfg.winnow, net.num_classes)
         intermediate = drop_low_confidence(to_ruleset(tree, prep.default), cfg.rule_drop_pct)
         out.append((layer, clausewise_substitute(
             intermediate.rules, H, prep.X, cfg.min_samples, cfg.class_weighted, cfg.winnow
@@ -281,7 +278,7 @@ def _termwise_extract(
         raise ExtractError("term-wise extraction needs at least one hidden layer")
     prep = _prepare(net, X, cfg)
     top_tree = induce(
-        prep.layers[d], prep.yhat, cfg.min_samples, prep.label_weights, cfg.winnow, net.num_classes
+        prep.layers[d], prep.labels, cfg.min_samples, prep.label_weights, cfg.winnow, net.num_classes
     )
     current = list(to_ruleset(top_tree, prep.default).rules)
     history: list[list[Rule]] = [list(current)] if keep_history else []
@@ -317,17 +314,7 @@ def _termwise_extract(
             # vacuous and duplicate combinations are discarded as soon as
             # they appear; only the surviving set carries to the next layer
             for new_rule in termwise_substitute(rule, term_cache):
-                premise = normalize_premise(new_rule.premise)
-                if premise is None:
-                    continue
-                key = (premise, new_rule.conclusion)
-                if key in seen:
-                    i = seen[key]
-                    if new_rule.confidence > step_rules[i].confidence:
-                        step_rules[i] = Rule(premise, new_rule.conclusion, new_rule.confidence)
-                else:
-                    seen[key] = len(step_rules)
-                    step_rules.append(Rule(premise, new_rule.conclusion, new_rule.confidence))
+                add_canonical(step_rules, seen, new_rule)
             cached = sum(len(v) for v in term_cache.values())
             peak_live = max(peak_live, retained + len(current) + len(step_rules) + cached)
         current = step_rules
@@ -380,7 +367,7 @@ def pedc5(
 ) -> RuleSet:
     """Pedagogical baseline: a single tree from inputs to predicted labels."""
     prep = _prepare(net, X, cfg)
-    tree = induce(prep.X, prep.yhat, cfg.min_samples, prep.label_weights, cfg.winnow, net.num_classes)
+    tree = induce(prep.X, prep.labels, cfg.min_samples, prep.label_weights, cfg.winnow, net.num_classes)
     return canonicalize(to_ruleset(tree, prep.default, feature_names))
 
 
@@ -397,10 +384,8 @@ def c5_direct(
     if num_classes is None:
         num_classes = int(y.max()) + 1
     num_classes = max(num_classes, 2)
-    X, y = _maybe_subsample(X, y, cfg)
-    weights = class_weights_from_labels(y, num_classes) if cfg.class_weighted else None
+    X, y, default, weights = _labelled(X, y, cfg, num_classes)
     tree = induce(X, y, cfg.min_samples, weights, cfg.winnow, num_classes)
-    default = _majority(y, num_classes)
     return canonicalize(to_ruleset(tree, default, feature_names))
 
 

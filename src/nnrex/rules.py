@@ -109,11 +109,23 @@ def premise_mask(premise, X: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _fired_matrix(rs: RuleSet, X: np.ndarray) -> np.ndarray:
+def _class_votes(rs: RuleSet, X: np.ndarray):
+    """(canonical rule set, per-class count of fired rules, per-class fired
+    confidence mass); both arrays are (num_classes, rows)."""
+    rs = canonicalize(rs)
+    X = np.atleast_2d(np.asarray(X, dtype=float))
     fired = np.empty((len(rs.rules), X.shape[0]), dtype=bool)
     for i, r in enumerate(rs.rules):
         fired[i] = premise_mask(r.premise, X)
-    return fired
+    conclusions = np.array([r.conclusion for r in rs.rules])
+    confidences = np.array([r.confidence for r in rs.rules])
+    votes = np.zeros((rs.num_classes, X.shape[0]))
+    mass = np.zeros((rs.num_classes, X.shape[0]))
+    for c in range(rs.num_classes):
+        of_c = fired[conclusions == c]
+        votes[c] = of_c.sum(axis=0)
+        mass[c] = (of_c * confidences[conclusions == c, None]).sum(axis=0)
+    return rs, votes, mass
 
 
 def predict_batch(rs: RuleSet, X: np.ndarray) -> np.ndarray:
@@ -124,31 +136,15 @@ def predict_batch(rs: RuleSet, X: np.ndarray) -> np.ndarray:
     higher summed confidence among its fired rules, then to the lower class
     index; rows firing no rule get the default label.
     """
-    rs = canonicalize(rs)
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    n = X.shape[0]
-    if not rs.rules:
-        return np.full(n, rs.default_label, dtype=int)
-    fired = _fired_matrix(rs, X)
-    conclusions = np.array([r.conclusion for r in rs.rules])
-    confidences = np.array([r.confidence for r in rs.rules])
-
-    votes = np.zeros((rs.num_classes, n))
-    conf_sums = np.zeros((rs.num_classes, n))
-    for c in range(rs.num_classes):
-        of_c = fired[conclusions == c]
-        votes[c] = of_c.sum(axis=0)
-        conf_sums[c] = (of_c * confidences[conclusions == c, None]).sum(axis=0)
-
-    best = np.zeros(n, dtype=int)
+    rs, votes, mass = _class_votes(rs, X)
+    rows = np.arange(votes.shape[1])
+    best = np.zeros(votes.shape[1], dtype=int)
     for c in range(1, rs.num_classes):
-        better = (votes[c] > votes[best, np.arange(n)]) | (
-            (votes[c] == votes[best, np.arange(n)])
-            & (conf_sums[c] > conf_sums[best, np.arange(n)])
+        better = (votes[c] > votes[best, rows]) | (
+            (votes[c] == votes[best, rows]) & (mass[c] > mass[best, rows])
         )
         best[better] = c
-    none_fired = ~fired.any(axis=0)
-    best[none_fired] = rs.default_label
+    best[votes.sum(axis=0) == 0] = rs.default_label
     return best
 
 
@@ -164,17 +160,8 @@ def score_batch(rs: RuleSet, X: np.ndarray) -> np.ndarray:
     confidence mass); rows firing nothing get a one-hot on the default label.
     Like :func:`predict_batch`, scoring sees the canonical rule set.
     """
-    rs = canonicalize(rs)
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    n = X.shape[0]
-    scores = np.zeros((n, rs.num_classes))
-    if rs.rules:
-        fired = _fired_matrix(rs, X)
-        conclusions = np.array([r.conclusion for r in rs.rules])
-        confidences = np.array([r.confidence for r in rs.rules])
-        for c in range(rs.num_classes):
-            of_c = fired[conclusions == c]
-            scores[:, c] = (of_c * confidences[conclusions == c, None]).sum(axis=0)
+    rs, _, mass = _class_votes(rs, X)
+    scores = mass.T
     total = scores.sum(axis=1)
     none = total <= 0.0
     scores[~none] /= total[~none, None]
@@ -193,41 +180,49 @@ def normalize_premise(premise) -> frozenset[Term] | None:
     Keeps the largest lower bound per '>' feature and the smallest upper
     bound per '<=' feature; the region is empty when upper <= lower.
     """
-    lower: dict[int, float] = {}
-    upper: dict[int, float] = {}
+    lower: dict[int, Term] = {}
+    upper: dict[int, Term] = {}
     for t in premise:
         if t.op == OP_GT:
-            if t.feature not in lower or t.threshold > lower[t.feature]:
-                lower[t.feature] = t.threshold
+            if t.feature not in lower or t.threshold > lower[t.feature].threshold:
+                lower[t.feature] = t
         else:
-            if t.feature not in upper or t.threshold < upper[t.feature]:
-                upper[t.feature] = t.threshold
+            if t.feature not in upper or t.threshold < upper[t.feature].threshold:
+                upper[t.feature] = t
     for f in lower.keys() & upper.keys():
-        if upper[f] <= lower[f]:
+        if upper[f].threshold <= lower[f].threshold:
             return None
-    terms = [Term(f, OP_GT, v) for f, v in lower.items()]
-    terms += [Term(f, OP_LE, v) for f, v in upper.items()]
-    return frozenset(terms)
+    return frozenset([*lower.values(), *upper.values()])
+
+
+def add_canonical(out: list[Rule], index: dict[tuple, int], rule: Rule) -> None:
+    """Add one rule to a canonical rule list in place.
+
+    ``index`` maps each (premise, conclusion) key in ``out`` to its
+    position. The premise is tightened; a vacuous rule is dropped, and a
+    duplicate key keeps the maximum confidence at its first position.
+    """
+    premise = normalize_premise(rule.premise)
+    if premise is None:
+        return
+    key = (premise, rule.conclusion)
+    if key in index:
+        i = index[key]
+        if rule.confidence > out[i].confidence:
+            out[i] = Rule(premise, rule.conclusion, rule.confidence)
+    else:
+        index[key] = len(out)
+        out.append(Rule(premise, rule.conclusion, rule.confidence))
 
 
 def canonicalize(rs: RuleSet) -> RuleSet:
     """Tighten every premise, drop vacuous rules, and merge exact duplicates
     (same premise and conclusion) keeping the maximum confidence. Idempotent;
     preserves first-occurrence rule order."""
-    seen: dict[tuple, int] = {}
     out: list[Rule] = []
+    index: dict[tuple, int] = {}
     for r in rs.rules:
-        premise = normalize_premise(r.premise)
-        if premise is None:
-            continue
-        key = (premise, r.conclusion)
-        if key in seen:
-            i = seen[key]
-            if r.confidence > out[i].confidence:
-                out[i] = Rule(premise, r.conclusion, r.confidence)
-        else:
-            seen[key] = len(out)
-            out.append(Rule(premise, r.conclusion, r.confidence))
+        add_canonical(out, index, r)
     return RuleSet(tuple(out), rs.default_label, rs.num_classes, rs.feature_names)
 
 

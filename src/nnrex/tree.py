@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rules import OP_GT, OP_LE, Rule, RuleSet, Term
+from .rules import OP_GT, OP_LE, Rule, RuleSet, Term, normalize_premise
 
 GAIN_EPS = 1e-12
 
@@ -164,10 +164,12 @@ def _best_for_feature(xcol, y, w, num_classes, parent_entropy) -> _FeatureSplit 
     ratios = np.where(valid, adjusted / np.maximum(split_info, 1e-300), -np.inf)
     i = int(np.argmax(ratios))  # first max: lowest threshold wins ties
     p = cut_pos[i]
-    threshold = (xs[p] + xs[p + 1]) / 2.0
+    with np.errstate(over="ignore"):
+        threshold = (xs[p] + xs[p + 1]) / 2.0
     if threshold >= xs[p + 1]:
-        # the midpoint of two adjacent floats rounded up to the larger one;
-        # fall back to the lower observed value so the split still separates
+        # the midpoint of two adjacent floats rounded up to the larger one,
+        # or overflowed to inf; fall back to the lower observed value so the
+        # split still separates
         threshold = xs[p]
     return _FeatureSplit(float(ratios[i]), float(threshold), float(adjusted[i]), best_raw_gain, n_candidates)
 
@@ -286,26 +288,21 @@ def to_ruleset(
 ) -> RuleSet:
     """One rule per leaf, premises read off the root-to-leaf path.
 
-    Conditions on the same (feature, direction) collapse to the tightest
-    bound, so a premise holds exactly one lower and/or upper bound per
-    feature. Rules appear in left-to-right leaf order.
+    Each premise is the path's conditions in normal form (see
+    :func:`normalize_premise`): one lower and/or upper bound per feature.
+    Every split leaves both children non-empty, so no path is vacuous.
+    Rules appear in left-to-right leaf order.
     """
     rules: list[Rule] = []
-    stack: list[tuple[int, dict[int, float], dict[int, float]]] = [(tree.root, {}, {})]
+    stack: list[tuple[int, tuple[Term, ...]]] = [(tree.root, ())]
     while stack:
-        nid, lower, upper = stack.pop()
+        nid, path = stack.pop()
         node = tree.nodes[nid]
         if node.is_leaf:
-            terms = [Term(f, OP_GT, v) for f, v in lower.items()]
-            terms += [Term(f, OP_LE, v) for f, v in upper.items()]
-            rules.append(Rule(frozenset(terms), node.klass, node.confidence))
+            rules.append(Rule(normalize_premise(path), node.klass, node.confidence))
             continue
         f, t = node.feature, node.threshold
-        left_upper = dict(upper)
-        left_upper[f] = min(upper.get(f, np.inf), t)
-        right_lower = dict(lower)
-        right_lower[f] = max(lower.get(f, -np.inf), t)
         # right pushed first so leaves emerge in left-to-right order
-        stack.append((node.right, right_lower, upper))
-        stack.append((node.left, lower, left_upper))
+        stack.append((node.right, path + (Term(f, OP_GT, t),)))
+        stack.append((node.left, path + (Term(f, OP_LE, t),)))
     return RuleSet(tuple(rules), default_label, tree.num_classes, feature_names)

@@ -251,6 +251,27 @@ class TestCrossvalCommand:
         )
         assert (tmp_path / "out" / "rules_best.json").read_text() == rules.to_json(rs) + "\n"
 
+    def test_validation_mode_writes_the_best_reports_fold0_rules(self, small_csv, small_weights, tmp_path):
+        config = {
+            "task": f"csv:{small_csv}", "weights": small_weights, "method": "eclaire",
+            "mu_min": 2, "mu_max": 4, "k": 3, "seed": 6, "select_by": "validation",
+            "out_dir": str(tmp_path / "out"),
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        assert run(["crossval", "--config", str(cfg_path)]) == 0
+        ds = data.load_csv(small_csv, "label")
+        net = mlp.load(small_weights)
+        result = evaluation.crossval(
+            ds, "eclaire", (2, 4, 1), net_preset=None, k=3, seed=6,
+            base_cfg=extract.ExtractionConfig(seed=6), nets=[net] * 3, select_by="validation",
+        )
+        best = result.best_rules[0]
+        assert (tmp_path / "out" / "rules_best.json").read_text() == rules.to_json(best) + "\n"
+        test_idx = list(result.folds[0].test_indices)
+        acc = evaluation.accuracy(best, ds.features[test_idx], ds.labels[test_idx])
+        assert acc == result.best.fold_accuracy[0]
+
     def test_unknown_key_is_config_error(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text('{"task": "xor", "method": "eclaire", "typo_key": 1}')

@@ -3,6 +3,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nnrex import data, evaluation, extract, mlp, rules
 from nnrex.rules import OP_GT, Rule, RuleSet, Term
@@ -94,6 +96,17 @@ class TestAucBinary:
                 continue
             values.append(evaluation._mann_whitney_auc(scores, y) * 100)
         assert abs(np.mean(values) - 50.0) < 2.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.integers(0, 1)),
+                    min_size=2, max_size=40))
+    def test_midranks_match_pairwise_u(self, pairs):
+        scores = np.array([s for s, _ in pairs])
+        y = np.array([c for _, c in pairs])
+        assume(y.min() != y.max())
+        pos, neg = scores[y == 1], scores[y == 0]
+        u = sum(1.0 if p > q else 0.5 if p == q else 0.0 for p in pos for q in neg)
+        assert evaluation._mann_whitney_auc(scores, y) == u / (len(pos) * len(neg))
 
 
 class TestMeasure:

@@ -237,6 +237,14 @@ class TestTermwiseBaselines:
         extract.deepred_star(net, ds.features, cfg, stats=stats_deepred)
         assert stats_deepred["peak_live_rules"] > stats_remd["peak_live_rules"]
 
+    @pytest.mark.parametrize("method", [extract.remd, extract.deepred_star])
+    def test_output_is_already_canonical(self, method):
+        for seed, mu in ((0, 5), (3, 3)):
+            net, ds = blobs_net_and_data(seed)
+            rs = method(net, ds.features, extract.ExtractionConfig(min_samples=mu))
+            assert len(rs.rules) > 1
+            assert rules.canonicalize(rs) == rs
+
     def test_explosion_guard_trips_with_structured_error(self, xor_ds, quick_xor_net):
         X = xor_ds.features[:300]
         with pytest.raises(extract.ExplosionGuard) as info:

@@ -133,6 +133,50 @@ class TestScore:
         assert np.array_equal(rules.score_batch(rs, X).argmax(axis=1), rules.predict_batch(rs, X))
 
 
+# Few premises, dyadic confidences and rows on the thresholds, so duplicate
+# rules, equal premises with different confidences, vote ties across classes
+# and empty premises are common, and confidence sums are exact in any order.
+vote_terms = st.builds(
+    Term, feature=st.integers(0, 1), op=st.sampled_from([OP_GT, OP_LE]),
+    threshold=st.sampled_from([-0.5, 0.0, 0.5]),
+)
+vote_rules = st.builds(
+    Rule,
+    premise=st.frozensets(vote_terms, max_size=2),
+    conclusion=st.integers(0, 2),
+    confidence=st.sampled_from([0.125, 0.25, 0.5, 0.75, 1.0]),
+)
+vote_sets = st.builds(
+    RuleSet, rules=st.lists(vote_rules, max_size=10).map(tuple),
+    default_label=st.integers(0, 2), num_classes=st.just(3),
+)
+vote_rows = st.lists(
+    st.lists(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]), min_size=2, max_size=2),
+    min_size=1, max_size=12,
+).map(np.array)
+
+
+def reference_vote(rs, x):
+    """(predicted class, class scores) for one row from the canonical set."""
+    fired = [r for r in rules.canonicalize(rs).rules if rules.eval_premise(r.premise, x)]
+    if not fired:
+        return rs.default_label, np.eye(rs.num_classes)[rs.default_label]
+    votes = [sum(r.conclusion == c for r in fired) for c in range(rs.num_classes)]
+    mass = [sum(r.confidence for r in fired if r.conclusion == c) for c in range(rs.num_classes)]
+    pred = max(range(rs.num_classes), key=lambda c: (votes[c], mass[c], -c))
+    return pred, np.array(mass) / sum(mass)
+
+
+class TestClassVotes:
+    @settings(max_examples=200, deadline=None)
+    @given(vote_sets, vote_rows)
+    def test_predict_and_score_match_per_row_reference(self, rs, X):
+        expected = [reference_vote(rs, x) for x in X]
+        assert list(rules.predict_batch(rs, X)) == [p for p, _ in expected]
+        assert [rules.predict(rs, x) for x in X] == [p for p, _ in expected]
+        assert np.array_equal(rules.score_batch(rs, X), np.array([s for _, s in expected]))
+
+
 class TestCanonicalize:
     def test_dominated_lower_bound_dropped(self):
         rs = rs_of([([Term(0, OP_GT, 0.2), Term(0, OP_GT, 0.5)], 1, 0.9)])

@@ -52,6 +52,13 @@ class TestInduce:
         assert t.nodes[t.root].threshold == lo
         assert t.leaf_count() == 2
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("winnow", [True, False])
+    def test_overflowing_midpoint_splits_at_lower_value_without_warning(self, winnow):
+        X = np.array([[1e308], [1e308], [1.7e308], [1.7e308]])
+        t = tree.induce(X, np.array([0, 0, 1, 1]), 2, winnow=winnow)
+        assert t.nodes[t.root].threshold == 1e308
+
     def test_empty_input_rejected(self):
         with pytest.raises(tree.TreeError):
             tree.induce(np.zeros((0, 2)), np.zeros(0, dtype=int), 2)
