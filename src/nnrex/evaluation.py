@@ -174,6 +174,36 @@ def mu_grid(grid: tuple[int, int, int]) -> list[int]:
     return list(range(mu_min, mu_max + 1, step))
 
 
+@dataclass(frozen=True)
+class _FoldRows:
+    """One fold's rows, which every grid point reuses: the rows rules are
+    extracted from, the held-out test rows and, when selecting by
+    validation, the quarter of the training rows held out from extraction."""
+
+    X_extract: np.ndarray
+    y_extract: np.ndarray
+    X_test: np.ndarray
+    y_test: np.ndarray
+    X_val: np.ndarray | None
+    y_val: np.ndarray | None
+
+
+def _fold_rows(ds: Dataset, fold: FoldSplit, select_by: str, seed: int) -> _FoldRows:
+    train_idx = np.array(fold.train_indices)
+    test_idx = np.array(fold.test_indices)
+    assert not set(train_idx) & set(test_idx)
+    X_train, y_train = ds.features[train_idx], ds.labels[train_idx]
+    X_test, y_test = ds.features[test_idx], ds.labels[test_idx]
+    if select_by != "validation":
+        return _FoldRows(X_train, y_train, X_test, y_test, None, None)
+    val = stratified_kfold(Dataset(X_train, y_train, ds.feature_names, ds.class_names), 4, seed)[0]
+    extract_idx = np.array(val.train_indices)
+    val_idx = np.array(val.test_indices)
+    return _FoldRows(
+        X_train[extract_idx], y_train[extract_idx], X_test, y_test, X_train[val_idx], y_train[val_idx]
+    )
+
+
 def crossval(
     ds: Dataset,
     method: str,
@@ -222,6 +252,7 @@ def crossval(
                 )
             )
 
+    fold_rows = [_fold_rows(ds, fold, select_by, seed) for fold in folds]
     reports = []
     best_i, best_score, best_rules = 0, -np.inf, []
     for mu in mus:
@@ -230,35 +261,18 @@ def crossval(
         report = EvaluationReport(method, mu, seed, _config_hash(cfg_payload))
         fold_selection = []
         fold_rules = []
-        for f, fold in enumerate(folds):
-            train_idx = np.array(fold.train_indices)
-            test_idx = np.array(fold.test_indices)
-            assert not set(train_idx) & set(test_idx)
-            X_train, y_train = ds.features[train_idx], ds.labels[train_idx]
-            X_test, y_test = ds.features[test_idx], ds.labels[test_idx]
+        for f, rows in enumerate(fold_rows):
             net = nets[f] if nets is not None else None
-
-            if select_by == "validation":
-                val_folds = stratified_kfold(
-                    Dataset(X_train, y_train, ds.feature_names, ds.class_names), 4, seed
-                )
-                extract_idx = np.array(val_folds[0].train_indices)
-                val_idx = np.array(val_folds[0].test_indices)
-            else:
-                extract_idx = np.arange(len(train_idx))
-                val_idx = None
-
-            X_ext, y_ext = X_train[extract_idx], y_train[extract_idx]
             rs, seconds, peak = measure(
                 lambda: run_method(
-                    method, X_ext, y_ext, net, cfg,
+                    method, rows.X_extract, rows.y_extract, net, cfg,
                     feature_names=ds.feature_names, num_classes=ds.num_classes,
                 )
             )
-            report.fold_accuracy.append(accuracy(rs, X_test, y_test))
-            report.fold_fidelity.append(None if net is None else fidelity(rs, X_test, net))
+            report.fold_accuracy.append(accuracy(rs, rows.X_test, rows.y_test))
+            report.fold_fidelity.append(None if net is None else fidelity(rs, rows.X_test, net))
             report.fold_auc.append(
-                auc_binary(rs, X_test, y_test) if ds.num_classes == 2 else None
+                auc_binary(rs, rows.X_test, rows.y_test) if ds.num_classes == 2 else None
             )
             count, avg_len = rule_stats(rs)
             report.fold_rule_count.append(count)
@@ -267,7 +281,7 @@ def crossval(
             report.fold_peak_bytes.append(peak)
             fold_rules.append(rs)
             if select_by == "validation":
-                fold_selection.append(accuracy(rs, X_train[val_idx], y_train[val_idx]))
+                fold_selection.append(accuracy(rs, rows.X_val, rows.y_val))
         reports.append(report)
         selection = report.mean_accuracy if select_by == "test_accuracy" else float(np.mean(fold_selection))
         if selection > best_score:  # the first best grid point wins ties

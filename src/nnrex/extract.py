@@ -32,7 +32,7 @@ from .rules import (
     drop_low_confidence,
     premise_mask,
 )
-from .tree import induce, to_ruleset
+from .tree import SortedColumns, induce, sort_columns, to_ruleset
 
 METHOD_NAMES = ("eclaire", "eclaire_star", "remd", "deepred_star", "pedc5", "c5")
 
@@ -113,7 +113,7 @@ class _Prepared:
     labels: np.ndarray  # the network's predicted labels
     default: int  # majority predicted label
     label_weights: np.ndarray | None
-    layers: list[np.ndarray]  # outputs of layers 0..d+1 on X
+    layers: list[np.ndarray | None]  # outputs of layers 0..d+1 on X; eclaire frees each once used
 
 
 def _prepare(net: Mlp, X: np.ndarray, cfg: ExtractionConfig) -> _Prepared:
@@ -133,7 +133,7 @@ def _prepare(net: Mlp, X: np.ndarray, cfg: ExtractionConfig) -> _Prepared:
 
 def substitute_clause(
     rule: Rule,
-    X: np.ndarray,
+    X: np.ndarray | SortedColumns,
     premise_truth: np.ndarray,
     min_samples: int,
     class_weight: np.ndarray | None = None,
@@ -164,14 +164,16 @@ def substitute_clause(
 def clausewise_substitute(
     intermediate_rules,
     H: np.ndarray,
-    X: np.ndarray,
+    X: np.ndarray | SortedColumns,
     min_samples: int,
     class_weighted: bool = False,
     winnow: bool = True,
 ) -> list[Rule]:
     """Clause-wise substitution of a whole intermediate rule set, returned
     raw (pre-deduplication): exactly the concatenation of each rule's
-    substitution, so the output size is the sum of TRUE-premise counts."""
+    substitution, so the output size is the sum of TRUE-premise counts.
+    The columns of X are sorted once for all substitution trees."""
+    X = sort_columns(X)
     out: list[Rule] = []
     for rule in intermediate_rules:
         truth = premise_mask(rule.premise, H)
@@ -192,7 +194,10 @@ def _selected_layers(net: Mlp, cfg: ExtractionConfig) -> list[int]:
 def _clausewise_layers(net: Mlp, prep: _Prepared, cfg: ExtractionConfig) -> list[tuple[int, list[Rule]]]:
     out = []
     for layer in _selected_layers(net, cfg):
-        H = prep.layers[layer]
+        # nothing reads a layer's activations after its substitution, so they
+        # leave prep here and are freed with H: the trees of later layers then
+        # run beside less than the forward pass held
+        H, prep.layers[layer] = prep.layers[layer], None
         tree = induce(H, prep.labels, cfg.min_samples, prep.label_weights, cfg.winnow, net.num_classes)
         intermediate = drop_low_confidence(to_ruleset(tree, prep.default), cfg.rule_drop_pct)
         out.append((layer, clausewise_substitute(
@@ -292,6 +297,7 @@ def _termwise_extract(
     for layer in range(d, 0, -1):
         prev_acts = prep.layers[layer - 1]
         cur_acts = prep.layers[layer]
+        prev_cols = sort_columns(prev_acts)
         term_cache: dict = {}
         step_rules: list[Rule] = []
         seen: dict = {}
@@ -301,7 +307,7 @@ def _termwise_extract(
                 if t not in term_cache:
                     probe = Rule(frozenset([t]), 0, 1.0)
                     term_cache[t] = clausewise_substitute(
-                        [probe], cur_acts, prev_acts, cfg.min_samples, cfg.class_weighted, cfg.winnow
+                        [probe], cur_acts, prev_cols, cfg.min_samples, cfg.class_weighted, cfg.winnow
                     )
             combos = 1
             for t in rule.premise:

@@ -14,6 +14,18 @@ inducer from chasing sampling noise:
 
 The tree is fully deterministic: gain-ratio ties go to the lowest feature
 index, then the lowest threshold.
+
+Split search scans all candidate features of a node at once, block by
+block, with numpy, and evaluates gains only at candidate cuts, with the
+same float operations in the same order as a per-feature search. Rows
+passed as :class:`SortedColumns` are presorted (SLIQ-style, Mehta et al.
+1996): every column's stable row order is computed once and shared by all
+trees induced from those rows, as clause-wise substitution does, and a
+node's order is that order filtered to its rows. A plain array is sorted
+per node and block instead, so a tree over a wide hidden layer never holds
+a sort of all its columns. A block holds at most ``BLOCK_COLUMNS`` columns
+of the input's full height, so the scan's memory grows with the input but
+stays a few columns' worth.
 """
 from __future__ import annotations
 
@@ -89,9 +101,10 @@ class DecisionTree:
 
 
 def _xlogx(a: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(a, dtype=float)
+    out = np.zeros(a.shape)
     positive = a > 0
-    out[positive] = a[positive] * np.log2(a[positive])
+    np.log2(a, out=out, where=positive)
+    np.multiply(out, a, out=out, where=positive)
     return out
 
 
@@ -102,104 +115,241 @@ def _entropy(wcounts: np.ndarray) -> float:
     return float(np.log2(total) - _xlogx(wcounts).sum() / total)
 
 
+def _class_sum(a: np.ndarray) -> np.ndarray:
+    """Sums over axis 0, the class axis, each adding its classes in the order
+    numpy's 1-D sum of one column does (one by one below 8 values, pairwise
+    from 8 on), so every sum matches that column's sum bit for bit."""
+    if len(a) < 8:
+        return a.sum(axis=0)
+    return np.ascontiguousarray(np.moveaxis(a, 0, -1)).sum(axis=-1)
+
+
+def _weight_and_entropy(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Total weight and entropy of class weights laid out along axis 0.
+    Works in place, one class at a time, to hold few temporaries at once:
+    ``counts`` is left holding the x log2 x terms."""
+    total = _class_sum(counts)
+    for c in range(len(counts)):
+        counts[c] = _xlogx(counts[c])
+    spread = _class_sum(counts)
+    safe = np.maximum(total, 1e-300)
+    spread /= safe
+    entropy = np.log2(safe, out=safe)
+    entropy -= spread
+    entropy[~(total > 0)] = 0.0
+    return total, entropy
+
+
 def leaf_confidence(correct: int, total: int) -> float:
     """Laplace-corrected purity of a leaf: (correct + 1) / (total + 2)."""
     return (correct + 1) / (total + 2)
 
 
+# Cells (rows x columns) one block of the split scan holds, counted in
+# columns of the full input's height: a larger block lifts the extraction's
+# peak memory above its forward pass, a smaller one adds numpy call overhead.
+BLOCK_COLUMNS = 3
+
+
 @dataclass(frozen=True)
-class _FeatureSplit:
-    ratio: float
-    threshold: float
-    adjusted_gain: float
-    best_raw_gain: float
-    n_candidates: int
+class SortedColumns:
+    """Induction rows with each column's stable ascending row order, sorted
+    once and shared by every tree induced from the same rows."""
+
+    X: np.ndarray
+    order: np.ndarray  # order[f] is the stable argsort of X[:, f]
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """The rows' shape, so callers can check sizes on either input."""
+        return self.X.shape
 
 
-def _best_for_feature(xcol, y, w, num_classes, parent_entropy) -> _FeatureSplit | None:
-    """Best candidate split of one feature at one node, or None."""
-    order = np.argsort(xcol, kind="stable")
-    xs = xcol[order]
-    ys = y[order]
-    ws = w[order]
-    n = len(xs)
+def _finite_rows(X) -> np.ndarray:
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.shape[0] < 1:
+        raise TreeError("empty input")
+    if not np.isfinite(X).all():
+        raise TreeError("non-finite feature values")
+    return X
 
-    value_cuts = np.flatnonzero(xs[:-1] != xs[1:])
-    if value_cuts.size == 0:
-        return None
-    starts = np.concatenate(([0], value_cuts + 1))
-    gmin = np.minimum.reduceat(ys, starts)
-    gmax = np.maximum.reduceat(ys, starts)
-    pure = gmin == gmax
-    # skip cuts between two groups that are pure in the same class
-    skippable = pure[:-1] & pure[1:] & (gmin[:-1] == gmin[1:])
-    cand = np.flatnonzero(~skippable)
-    if cand.size == 0:
-        return None
-    ends = np.append(value_cuts, n - 1)
-    cut_pos = ends[cand]
 
-    cum = np.empty((num_classes, n))
-    for c in range(num_classes):
-        cum[c] = np.cumsum(ws * (ys == c))
-    left = cum[:, cut_pos]
-    totals = cum[:, -1]
-    right = totals[:, None] - left
+def sort_columns(X) -> SortedColumns:
+    """Sort every column of X once; an already sorted input is returned as is."""
+    if isinstance(X, SortedColumns):
+        return X
+    X = _finite_rows(X)
+    return SortedColumns(X, np.argsort(X.T, axis=1, kind="stable"))
 
-    wl = left.sum(axis=0)
-    wr = right.sum(axis=0)
-    total = totals.sum()
-    h_left = np.where(wl > 0, np.log2(np.maximum(wl, 1e-300)) - _xlogx(left).sum(axis=0) / np.maximum(wl, 1e-300), 0.0)
-    h_right = np.where(wr > 0, np.log2(np.maximum(wr, 1e-300)) - _xlogx(right).sum(axis=0) / np.maximum(wr, 1e-300), 0.0)
-    gains = parent_entropy - (wl * h_left + wr * h_right) / total
 
-    n_candidates = cand.size
-    adjusted = gains - np.log2(n_candidates) / n
-    split_info = np.log2(total) - (_xlogx(wl) + _xlogx(wr)) / total
-    valid = (adjusted > GAIN_EPS) & (split_info > GAIN_EPS) & (wl > 0) & (wr > 0)
+@dataclass(frozen=True)
+class _Sample:
+    """What every node scan of one tree reads."""
 
-    best_raw_gain = float(gains.max())
+    X: np.ndarray
+    order: np.ndarray | None  # column orders when the rows were presorted
+    y: np.ndarray
+    w: np.ndarray
+    num_classes: int
+
+    def blocks(self, n: int, features: np.ndarray) -> list[np.ndarray]:
+        """``features`` in blocks of at most BLOCK_COLUMNS x len(X) cells at
+        a node of ``n`` rows."""
+        width = max(1, BLOCK_COLUMNS * len(self.X) // n)
+        return [features[i:i + width] for i in range(0, len(features), width)]
+
+    def sorted_rows(self, idx: np.ndarray, block: np.ndarray) -> np.ndarray:
+        """The node's rows (``idx``, ascending) in each block column's stable
+        value order, one column per row of the result."""
+        if self.order is None:
+            return idx[np.argsort(self.X[idx[:, None], block].T, axis=1, kind="stable")]
+        if len(idx) == len(self.X):
+            return self.order[block]
+        member = np.zeros(len(self.X), dtype=bool)
+        member[idx] = True
+        rows = np.empty((len(block), len(idx)), dtype=np.intp)
+        for j, f in enumerate(block):
+            o = self.order[f]
+            rows[j] = o[member[o]]
+        return rows
+
+
+@dataclass(frozen=True)
+class _CutGains:
+    """The candidate cuts of a block of features at one node, in (column,
+    position) order, with their information gains."""
+
+    xs: np.ndarray  # (columns, rows) node values, each row sorted
+    cuts: np.ndarray  # flat position in xs of each candidate's last left row
+    col: np.ndarray  # block column of each candidate
+    n_candidates: np.ndarray  # per block column
+    gains: np.ndarray
+    sizes: np.ndarray  # (2, candidates) class-weighted size of the left and right sides
+    total: np.ndarray
+
+
+def _cut_gains(s: _Sample, idx: np.ndarray, block: np.ndarray, parent_entropy: float) -> _CutGains:
+    """Information gain of every candidate cut of the block's features at
+    the node of rows ``idx``.
+
+    Candidates sit between adjacent distinct values whose sample groups are
+    not pure in the same class; gains are evaluated only there. Each
+    block-sized temporary is deleted once used, which the memory bound of
+    ``BLOCK_COLUMNS`` relies on.
+    """
+    rows = s.sorted_rows(idx, block)
+    xs = s.X[rows, block[:, None]]
+    ys = s.y[rows]
+    ws = s.w[rows]
+    del rows
+    b, n = xs.shape
+
+    # flat position of the first row of each group of equal values
+    new_value = np.ones((b, n), dtype=bool)
+    np.not_equal(xs[:, 1:], xs[:, :-1], out=new_value[:, 1:])
+    starts = np.flatnonzero(new_value)
+    # label changes counted along the rows: two adjacent groups are pure in
+    # the same class exactly when no label changes from the first row of
+    # the one to the last row of the other
+    np.not_equal(ys[:, 1:], ys[:, :-1], out=new_value[:, 1:])
+    new_value[:, 0] = False
+    changes = np.cumsum(new_value.ravel(), dtype=np.int32)
+    del new_value
+    ends = np.append(starts[1:], b * n) - 1
+    keep = changes[ends[1:]] != changes[starts[:-1]]
+    del changes, ends
+    if b > 1:
+        # a cut ends every group but a row's last
+        keep[np.searchsorted(starts, np.arange(1, b) * n) - 1] = False
+    cuts = starts[1:][keep] - 1
+    del starts, keep
+    col = cuts // n
+    n_candidates = np.bincount(col, minlength=b)
+
+    # per-class cumulative weight along each column: sides[c, 0] holds the
+    # left side of each candidate, sides[c, 1] the right
+    sides = np.empty((s.num_classes, 2, cuts.size))
+    totals = np.empty((s.num_classes, b))
+    for c in range(s.num_classes):
+        cum = ws * (ys == c)
+        np.cumsum(cum, axis=1, out=cum)
+        sides[c, 0] = cum.ravel()[cuts]
+        totals[c] = cum[:, -1]
+        del cum
+    del ys, ws
+    np.subtract(totals[:, col], sides[:, 0], out=sides[:, 1])
+    total = _class_sum(totals)[col]
+    sizes, (h_left, h_right) = _weight_and_entropy(sides)
+    del sides
+    gains = parent_entropy - (sizes[0] * h_left + sizes[1] * h_right) / total
+    return _CutGains(xs, cuts, col, n_candidates, gains, sizes, total)
+
+
+def _best_split(s: _Sample, idx: np.ndarray, block: np.ndarray, parent_entropy: float):
+    """The block's best split at one node as (gain ratio, block column,
+    threshold), or None. Only cuts with positive gain corrected by
+    log2(T)/N for a feature's T candidates are eligible; the first maximum
+    in (column, position) order wins, so ties go to the lowest feature and
+    then the lowest threshold."""
+    g = _cut_gains(s, idx, block, parent_entropy)
+    n = g.xs.shape[1]
+    adjusted = g.gains - np.log2(g.n_candidates[g.col]) / n
+    xlogx = _xlogx(g.sizes)
+    split_info = np.log2(g.total) - (xlogx[0] + xlogx[1]) / g.total
+    valid = (adjusted > GAIN_EPS) & (split_info > GAIN_EPS) & (g.sizes > 0).all(axis=0)
     if not valid.any():
-        return _FeatureSplit(-np.inf, np.nan, -np.inf, best_raw_gain, n_candidates)
+        return None
     ratios = np.where(valid, adjusted / np.maximum(split_info, 1e-300), -np.inf)
-    i = int(np.argmax(ratios))  # first max: lowest threshold wins ties
-    p = cut_pos[i]
+    i = int(np.argmax(ratios))
+    j, p = divmod(int(g.cuts[i]), n)
+    lo, hi = g.xs[j, p], g.xs[j, p + 1]
     with np.errstate(over="ignore"):
-        threshold = (xs[p] + xs[p + 1]) / 2.0
-    if threshold >= xs[p + 1]:
+        threshold = (lo + hi) / 2.0
+    if threshold >= hi:
         # the midpoint of two adjacent floats rounded up to the larger one,
         # or overflowed to inf; fall back to the lower observed value so the
         # split still separates
-        threshold = xs[p]
-    return _FeatureSplit(float(ratios[i]), float(threshold), float(adjusted[i]), best_raw_gain, n_candidates)
+        threshold = lo
+    return float(ratios[i]), j, float(threshold)
 
 
-def winnow_features(X: np.ndarray, y: np.ndarray, w: np.ndarray, num_classes: int) -> np.ndarray:
+def _sample(X, y, w, num_classes) -> _Sample:
+    # the narrowest label type keeps the per-block label copies small
+    y = np.asarray(y).astype(np.min_scalar_type(num_classes - 1))
+    if isinstance(X, SortedColumns):
+        return _Sample(X.X, X.order, y, w, num_classes)
+    return _Sample(np.atleast_2d(np.asarray(X, dtype=float)), None, y, w, num_classes)
+
+
+def winnow_features(X, y: np.ndarray, w: np.ndarray, num_classes: int) -> np.ndarray:
     """Feature pre-selection: keep features whose best standalone root gain
-    clears the zero-gain noise floor. Returns the kept feature indices."""
-    parent_entropy = _entropy(np.bincount(y, weights=w, minlength=num_classes))
+    clears the zero-gain noise floor. Returns the kept feature indices.
+    ``X`` is an array or its :class:`SortedColumns`."""
+    s = _sample(X, y, w, num_classes)
+    parent_entropy = _entropy(np.bincount(s.y, weights=s.w, minlength=num_classes))
+    features = np.arange(s.X.shape[1])
     if parent_entropy <= 0:
-        return np.arange(X.shape[1])
-    n = X.shape[0]
+        return features
+    n = len(s.X)
     kept = []
-    for f in range(X.shape[1]):
-        split = _best_for_feature(X[:, f], y, w, num_classes, parent_entropy)
-        if split is None:
-            continue
-        floor = min(
-            max(
+    for block in s.blocks(n, features):
+        g = _cut_gains(s, np.arange(n), block, parent_entropy)
+        has = g.n_candidates > 0
+        best_raw_gain = np.full(len(block), -np.inf)
+        best_raw_gain[has] = np.maximum.reduceat(g.gains, (np.cumsum(g.n_candidates) - g.n_candidates)[has])
+        floor = np.minimum(
+            np.maximum(
                 WINNOW_ENTROPY_FRACTION * parent_entropy,
-                WINNOW_NOISE_MULTIPLIER * np.log2(split.n_candidates + 1) / n,
+                WINNOW_NOISE_MULTIPLIER * np.log2(g.n_candidates + 1) / n,
             ),
             WINNOW_ENTROPY_CAP * parent_entropy,
         )
-        if split.best_raw_gain > floor:
-            kept.append(f)
+        kept.extend(block[has & (best_raw_gain > floor)])
     return np.array(kept, dtype=int)
 
 
 def induce(
-    X: np.ndarray,
+    X,
     y: np.ndarray,
     min_samples: int,
     class_weight: np.ndarray | None = None,
@@ -209,15 +359,14 @@ def induce(
     """Grow a binary tree top-down until nodes are pure, smaller than
     ``min_samples``, or offer no split with positive corrected gain.
 
-    ``class_weight`` multiplies per-sample counts inside entropy and
-    majority computations; leaf confidences always use raw counts.
+    ``X`` is an array or the :class:`SortedColumns` of one, which trees
+    induced from the same rows share. ``class_weight`` multiplies
+    per-sample counts inside entropy and majority computations; leaf
+    confidences always use raw counts.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    cols = X if isinstance(X, SortedColumns) else None
+    X = _finite_rows(X if cols is None else cols.X)
     y = np.asarray(y, dtype=int)
-    if X.shape[0] < 1:
-        raise TreeError("empty input")
-    if not np.isfinite(X).all():
-        raise TreeError("non-finite feature values")
     if min_samples < 2:
         raise TreeError(f"min_samples must be >= 2, got {min_samples}")
     if y.shape != (X.shape[0],):
@@ -233,9 +382,10 @@ def induce(
         w = np.asarray(class_weight, dtype=float)[y]
 
     if winnow:
-        allowed = winnow_features(X, y, w, num_classes)
+        allowed = winnow_features(X if cols is None else cols, y, w, num_classes)
     else:
         allowed = np.arange(X.shape[1])
+    sample = _sample(X if cols is None else cols, y, w, num_classes)
 
     nodes: list[TreeNode] = []
     # stack entries: (sample indices, parent node id, is_left_child)
@@ -259,11 +409,11 @@ def induce(
         split = None
         if len(idx) >= min_samples and parent_entropy > 0:
             best_ratio = -np.inf
-            for f in allowed:
-                cand = _best_for_feature(X[idx, f], ys, ws, num_classes, parent_entropy)
-                if cand is not None and cand.ratio > best_ratio:
-                    best_ratio = cand.ratio
-                    split = (int(f), cand.threshold)
+            for block in sample.blocks(len(idx), allowed):
+                best = _best_split(sample, idx, block, parent_entropy)
+                if best is not None and best[0] > best_ratio:
+                    best_ratio = best[0]
+                    split = (int(block[best[1]]), best[2])
 
         node = nodes[nid]
         node.n_samples = len(idx)

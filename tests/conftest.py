@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nnrex import data, mlp
+from nnrex import data, evaluation, mlp
 
 
 @pytest.fixture(scope="session")
@@ -25,6 +25,23 @@ def quick_xor_net(xor_ds, xor_folds):
         xor_ds.class_names,
     )
     return mlp.train(train_ds, [16, 8], "tanh", mlp.TrainConfig(epochs=40, batch_size=32, seed=3))
+
+
+@pytest.fixture(scope="session")
+def xor_preset_net(xor_ds, xor_folds):
+    """The XOR-preset net (64-32-16, tanh) trained on fold-0 training data."""
+    fold = xor_folds[0]
+    train_ds = data.Dataset(
+        xor_ds.features[list(fold.train_indices)],
+        xor_ds.labels[list(fold.train_indices)],
+        xor_ds.feature_names,
+        xor_ds.class_names,
+    )
+    preset = evaluation.NET_PRESETS["xor"]
+    return mlp.train(
+        train_ds, preset.hidden_sizes, preset.activation,
+        mlp.TrainConfig(epochs=preset.epochs, batch_size=preset.batch_size, seed=7),
+    )
 
 
 def random_net(sizes, activation="tanh", seed=0):

@@ -206,6 +206,21 @@ class TestCrossval:
         )
         assert result.best.mu in (2, 3)
 
+    def test_validation_split_computed_once_per_fold(self, monkeypatch):
+        # one split into k folds, then one validation split per fold, however
+        # many grid points reuse them
+        calls = []
+        real = evaluation.stratified_kfold
+
+        def counting(ds, k, seed):
+            calls.append(k)
+            return real(ds, k, seed)
+
+        monkeypatch.setattr(evaluation, "stratified_kfold", counting)
+        ds = tiny_blobs(seed=3)
+        evaluation.crossval(ds, "c5", (2, 5, 1), net_preset=None, k=3, seed=2, select_by="validation")
+        assert calls == [3, 4, 4, 4]
+
     def test_empty_grid_rejected(self):
         ds = tiny_blobs(seed=4)
         with pytest.raises(evaluation.EvalError):

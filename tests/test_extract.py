@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -209,6 +212,44 @@ class TestEclaire:
         flagged = extract.eclaire(
             quick_xor_net, X, extract.ExtractionConfig(min_samples=5, include_input_layer=True))
         assert star == flagged
+
+    def test_substitution_trees_share_one_column_sort(self, xor_ds, quick_xor_net, monkeypatch):
+        # every substitution tree of a layer gets the same sorted columns,
+        # still through substitute_clause and its induce
+        seen = []
+        real = extract.induce
+
+        def recording(X, *args, **kwargs):
+            seen.append(X)
+            return real(X, *args, **kwargs)
+
+        monkeypatch.setattr(extract, "induce", recording)
+        per_layer = extract.eclaire_layer_rules(quick_xor_net, xor_ds.features[:300])
+        shared = [X for X in seen if isinstance(X, tree.SortedColumns)]
+        assert len(shared) == len(seen) - len(per_layer)
+        assert len({id(X) for X in shared}) == len(per_layer)
+
+
+def traced_peak(fn):
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    @pytest.mark.parametrize("rows", [800, 400])
+    def test_trees_stay_under_the_forward_pass_peak(self, xor_ds, xor_folds, xor_preset_net, rows):
+        # the forward pass sets eclaire's peak allocation; the split scan's
+        # block budget must keep every tree below it
+        X = xor_ds.features[list(xor_folds[0].train_indices)][:rows]
+        cfg = extract.ExtractionConfig(min_samples=2)
+        extract.eclaire(xor_preset_net, X, cfg)
+        prepare = traced_peak(lambda: extract._prepare(xor_preset_net, X, cfg))
+        assert traced_peak(lambda: extract.eclaire(xor_preset_net, X, cfg)) <= prepare
 
 
 def blobs_net_and_data(seed=0):

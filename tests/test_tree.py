@@ -262,3 +262,218 @@ class TestTerminationProperties:
         picks = data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
         X = pool[picks]
         assert_induction_partitions(X, data.draw(labels(n)), min_samples, winnow)
+
+
+# Reference split search: the per-feature loop the presorted block scan
+# replaced, kept here verbatim in its arithmetic. The scan must reproduce its
+# trees node for node, to the last bit of every threshold and confidence.
+
+
+def ref_xlogx(a):
+    out = np.zeros_like(a, dtype=float)
+    positive = a > 0
+    out[positive] = a[positive] * np.log2(a[positive])
+    return out
+
+
+def ref_entropy(wcounts):
+    total = wcounts.sum()
+    if total <= 0:
+        return 0.0
+    return float(np.log2(total) - ref_xlogx(wcounts).sum() / total)
+
+
+def ref_best_for_feature(xcol, y, w, num_classes, parent_entropy):
+    """(ratio, threshold, best raw gain, candidate count) or None."""
+    order = np.argsort(xcol, kind="stable")
+    xs, ys, ws = xcol[order], y[order], w[order]
+    n = len(xs)
+    value_cuts = np.flatnonzero(xs[:-1] != xs[1:])
+    if value_cuts.size == 0:
+        return None
+    starts = np.concatenate(([0], value_cuts + 1))
+    gmin = np.minimum.reduceat(ys, starts)
+    gmax = np.maximum.reduceat(ys, starts)
+    pure = gmin == gmax
+    skippable = pure[:-1] & pure[1:] & (gmin[:-1] == gmin[1:])
+    cand = np.flatnonzero(~skippable)
+    if cand.size == 0:
+        return None
+    ends = np.append(value_cuts, n - 1)
+    cut_pos = ends[cand]
+    cum = np.empty((num_classes, n))
+    for c in range(num_classes):
+        cum[c] = np.cumsum(ws * (ys == c))
+    left = cum[:, cut_pos]
+    totals = cum[:, -1]
+    right = totals[:, None] - left
+    wl = left.sum(axis=0)
+    wr = right.sum(axis=0)
+    total = totals.sum()
+    h_left = np.where(wl > 0, np.log2(np.maximum(wl, 1e-300)) - ref_xlogx(left).sum(axis=0) / np.maximum(wl, 1e-300), 0.0)
+    h_right = np.where(wr > 0, np.log2(np.maximum(wr, 1e-300)) - ref_xlogx(right).sum(axis=0) / np.maximum(wr, 1e-300), 0.0)
+    gains = parent_entropy - (wl * h_left + wr * h_right) / total
+    adjusted = gains - np.log2(cand.size) / n
+    split_info = np.log2(total) - (ref_xlogx(wl) + ref_xlogx(wr)) / total
+    valid = (adjusted > tree.GAIN_EPS) & (split_info > tree.GAIN_EPS) & (wl > 0) & (wr > 0)
+    best_raw_gain = float(gains.max())
+    if not valid.any():
+        return -np.inf, np.nan, best_raw_gain, cand.size
+    ratios = np.where(valid, adjusted / np.maximum(split_info, 1e-300), -np.inf)
+    i = int(np.argmax(ratios))
+    p = cut_pos[i]
+    with np.errstate(over="ignore"):
+        threshold = (xs[p] + xs[p + 1]) / 2.0
+    if threshold >= xs[p + 1]:
+        threshold = xs[p]
+    return float(ratios[i]), float(threshold), best_raw_gain, cand.size
+
+
+def ref_winnow(X, y, w, num_classes):
+    parent_entropy = ref_entropy(np.bincount(y, weights=w, minlength=num_classes))
+    if parent_entropy <= 0:
+        return np.arange(X.shape[1])
+    n = X.shape[0]
+    kept = []
+    for f in range(X.shape[1]):
+        split = ref_best_for_feature(X[:, f], y, w, num_classes, parent_entropy)
+        if split is None:
+            continue
+        floor = min(
+            max(
+                tree.WINNOW_ENTROPY_FRACTION * parent_entropy,
+                tree.WINNOW_NOISE_MULTIPLIER * np.log2(split[3] + 1) / n,
+            ),
+            tree.WINNOW_ENTROPY_CAP * parent_entropy,
+        )
+        if split[2] > floor:
+            kept.append(f)
+    return np.array(kept, dtype=int)
+
+
+def ref_induce(X, y, min_samples, class_weight, winnow, num_classes):
+    """Node tuples (feature, threshold, left, right, class, confidence,
+    n_samples) of the reference tree."""
+    w = np.ones(len(y)) if class_weight is None else np.asarray(class_weight, dtype=float)[y]
+    allowed = ref_winnow(X, y, w, num_classes) if winnow else np.arange(X.shape[1])
+    nodes = []
+    stack = [(np.arange(len(y)), -1, False)]
+    while stack:
+        idx, parent, is_left = stack.pop()
+        nid = len(nodes)
+        nodes.append([-1, 0.0, -1, -1, -1, 0.0, len(idx)])
+        if parent >= 0:
+            nodes[parent][2 if is_left else 3] = nid
+        ys, ws = y[idx], w[idx]
+        hist = np.bincount(ys, minlength=num_classes)
+        whist = np.bincount(ys, weights=ws, minlength=num_classes)
+        parent_entropy = ref_entropy(whist)
+        split = None
+        if len(idx) >= min_samples and parent_entropy > 0:
+            best_ratio = -np.inf
+            for f in allowed:
+                cand = ref_best_for_feature(X[idx, f], ys, ws, num_classes, parent_entropy)
+                if cand is not None and cand[0] > best_ratio:
+                    best_ratio = cand[0]
+                    split = (int(f), cand[1])
+        if split is None:
+            klass = int(np.argmax(whist))
+            nodes[nid][4] = klass
+            nodes[nid][5] = tree.leaf_confidence(int(hist[klass]), len(idx))
+        else:
+            nodes[nid][0], nodes[nid][1] = split
+            mask = X[idx, split[0]] <= split[1]
+            stack.append((idx[~mask], nid, False))
+            stack.append((idx[mask], nid, True))
+    return [tuple(node) for node in nodes]
+
+
+def node_tuples(t):
+    return [(n.feature, n.threshold, n.left, n.right, n.klass, n.confidence, n.n_samples) for n in t.nodes]
+
+
+WEIGHTS = st.sampled_from([0.1, 1 / 3, 0.625, 1.0, 3.7, 7.77])
+
+
+@st.composite
+def induction_cases(draw):
+    """Small problems rich in ties: integer, rounded, free and adjacent-float
+    columns, duplicate rows, constant columns, 2 to 9 classes, optional class
+    weights, and more columns than one root block holds."""
+    n = draw(st.integers(2, 60))
+    m = draw(st.integers(1, 3 * tree.BLOCK_COLUMNS))
+    num_classes = draw(st.sampled_from([2, 2, 3, 3, 4, 9]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["integer", "rounded", "free", "adjacent"]))
+    if kind == "integer":
+        X = rng.integers(0, 4, (n, m)).astype(float)
+    elif kind == "rounded":
+        X = np.round(rng.normal(size=(n, m)), 1)
+    elif kind == "free":
+        X = rng.uniform(-1, 1, (n, m))
+    else:
+        lo = rng.normal(size=m)
+        X = np.where(rng.random((n, m)) < 0.5, lo, np.nextafter(lo, np.inf))
+    if draw(st.booleans()):
+        X = X[rng.integers(0, max(1, n // 3), n)]  # duplicate rows
+    if draw(st.booleans()):
+        X[:, draw(st.integers(0, m - 1))] = draw(FINITE)  # a constant column
+    if draw(st.booleans()):
+        y = (X[:, 0] > np.median(X[:, 0])).astype(int) + (rng.random(n) < 0.2)
+        y = np.minimum(y, num_classes - 1)
+    else:
+        y = rng.integers(0, num_classes, n)
+    class_weight = draw(st.none() | st.lists(WEIGHTS, min_size=num_classes, max_size=num_classes))
+    return X, y, num_classes, class_weight, draw(st.booleans()), draw(st.integers(2, 4))
+
+
+def assert_matches_reference(X, y, num_classes, class_weight, winnow, min_samples):
+    expected = ref_induce(X, y, min_samples, class_weight, winnow, num_classes)
+    plain = tree.induce(X, y, min_samples, class_weight, winnow, num_classes)
+    assert node_tuples(plain) == expected
+    shared = tree.induce(tree.sort_columns(X), y, min_samples, class_weight, winnow, num_classes)
+    assert node_tuples(shared) == expected
+    w = np.ones(len(y)) if class_weight is None else np.asarray(class_weight)[y]
+    assert np.array_equal(tree.winnow_features(X, y, w, num_classes), ref_winnow(X, y, w, num_classes))
+
+
+class TestSplitSearchOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(induction_cases())
+    def test_matches_per_feature_reference(self, case):
+        assert_matches_reference(*case)
+
+    def test_matches_reference_on_wide_multi_block_nodes(self):
+        # a few hundred rows and up to 30 columns: the root and its children
+        # span several blocks, and deeper nodes pack many columns into one
+        rng = np.random.default_rng(11)
+        for trial in range(25):
+            n, m = int(rng.integers(100, 320)), int(rng.integers(4, 31))
+            num_classes = int(rng.choice([2, 3, 9]))
+            X = np.round(rng.normal(size=(n, m)), int(rng.integers(1, 4)))
+            y = ((X[:, 0] > 0) ^ (X[:, 1 % m] > 0.5) ^ (rng.random(n) < 0.1)).astype(int)
+            y = np.minimum(y + rng.integers(0, num_classes, n) * (rng.random(n) < 0.2), num_classes - 1)
+            class_weight = rng.choice([0.625, 1.0, 3.7, 1 / 3], num_classes) if trial % 2 else None
+            assert_matches_reference(X, y, num_classes, class_weight, bool(trial % 3), int(rng.integers(2, 6)))
+
+    def test_many_weighted_classes_add_in_numpy_order(self):
+        # from 8 classes on, numpy's 1-D sum adds pairwise, not one by one;
+        # tied integer columns give near-tied gains that tell the orders apart
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            num_classes = 9 if seed % 2 else 12
+            X = rng.integers(0, 6, (100, 12)).astype(float)
+            y = rng.integers(0, num_classes, 100)
+            class_weight = rng.choice([0.1, 1 / 3, 0.625, 3.7, 7.77], num_classes)
+            assert_matches_reference(X, y, num_classes, class_weight, False, 2)
+
+    def test_sorted_columns_are_stable_argsorts(self):
+        X = np.array([[1.0, 0.0], [0.0, 0.0], [1.0, -0.0], [0.5, 2.0]])
+        cols = tree.sort_columns(X)
+        assert cols.order.tolist() == [[1, 3, 0, 2], [0, 1, 2, 3]]
+        assert tree.sort_columns(cols) is cols
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_sort_columns_rejects_non_finite_input(self, bad):
+        with pytest.raises(tree.TreeError, match="non-finite"):
+            tree.sort_columns(np.array([[0.0], [bad]]))
