@@ -23,7 +23,7 @@ from .extract import (
     run_method,
 )
 from .evaluation import EvaluationReport, accuracy, auc_binary, crossval, fidelity, measure
-from .mlp import Mlp, TrainConfig, activations, forward, layer_outputs, predict_labels, train
+from .mlp import Mlp, TrainConfig, forward, layer_outputs, predict_labels, train
 from .rules import Rule, RuleSet, Term, canonicalize, feature_usage, predict, rule_stats, score
 from .tree import DecisionTree, induce, to_ruleset
 
@@ -34,7 +34,7 @@ __all__ = [
     "ExplosionGuard", "ExtractionConfig", "c5_direct", "deepred_star", "eclaire", "eclaire_star",
     "pedc5", "remd", "run_method",
     "EvaluationReport", "accuracy", "auc_binary", "crossval", "fidelity", "measure",
-    "Mlp", "TrainConfig", "activations", "forward", "layer_outputs", "predict_labels", "train",
+    "Mlp", "TrainConfig", "forward", "layer_outputs", "predict_labels", "train",
     "Rule", "RuleSet", "Term", "canonicalize", "feature_usage", "predict", "rule_stats", "score",
     "DecisionTree", "induce", "to_ruleset",
     "__version__",

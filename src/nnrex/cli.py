@@ -48,7 +48,10 @@ def cmd_gen_xor(args) -> int:
 def cmd_train(args) -> int:
     ds = data.load_csv(args.data, args.label_column)
     cfg = mlp.TrainConfig(epochs=args.epochs, batch_size=args.batch, seed=args.seed)
-    hidden = [int(s) for s in args.hidden.split(",") if s]
+    try:
+        hidden = [int(s) for s in args.hidden.split(",") if s]
+    except ValueError:
+        raise ConfigError(f"--hidden must be comma-separated integers, got {args.hidden!r}") from None
     if not hidden:
         raise ConfigError("--hidden must name at least one layer size")
     net = mlp.train(ds, hidden, args.activation, cfg)

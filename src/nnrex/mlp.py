@@ -1,5 +1,11 @@
-"""Feed-forward network with per-layer activation capture and a small
+"""Feed-forward network with per-layer output capture and a small
 self-contained trainer (Adam on weighted softmax cross-entropy).
+
+The trainer keeps every weight and bias as a view into one flat parameter
+vector and applies each Adam step to the whole vector at once, with the
+per-element operations of the textbook per-layer update in the same order,
+so the trained weights are the same floats. Minibatches are slices of one
+shuffled copy of the data per epoch.
 
 Networks are immutable after training or loading and safe to share across
 threads; training mutates a private instance only.
@@ -7,6 +13,7 @@ threads; training mutates a private instance only.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +57,8 @@ class Mlp:
         for i, layer in enumerate(self.layers):
             if layer.weight.ndim != 2 or layer.bias.shape != (layer.weight.shape[0],):
                 raise MlpError(f"layer {i}: weight/bias shape mismatch")
+            if layer.weight.size == 0:
+                raise MlpError(f"layer {i}: zero-size weight matrix {layer.weight.shape}")
             if not (np.all(np.isfinite(layer.weight)) and np.all(np.isfinite(layer.bias))):
                 raise MlpError(f"layer {i}: non-finite parameters")
             if i + 1 < len(self.layers):
@@ -90,8 +99,12 @@ class TrainConfig:
             raise MlpError("epochs must be >= 1")
         if self.batch_size < 1:
             raise MlpError("batch_size must be >= 1")
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise MlpError("learning_rate must be positive")
+        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
+            raise MlpError("beta1 and beta2 must be in [0, 1)")
+        if not self.epsilon > 0:
+            raise MlpError("epsilon must be positive")
 
 
 def _apply_activation(z: np.ndarray, kind: str) -> np.ndarray:
@@ -130,13 +143,6 @@ def layer_outputs(net: Mlp, x: np.ndarray) -> list[np.ndarray]:
 def forward(net: Mlp, x: np.ndarray) -> np.ndarray:
     """Class-probability output; accepts a single vector or a batch."""
     return layer_outputs(net, x)[-1]
-
-
-def activations(net: Mlp, x: np.ndarray, i: int) -> np.ndarray:
-    """Output of layer i, as indexed by :func:`layer_outputs`."""
-    if not 0 <= i <= net.num_hidden + 1:
-        raise MlpError(f"layer index {i} out of range [0, {net.num_hidden + 1}]")
-    return layer_outputs(net, x)[i]
 
 
 def predict_labels(net: Mlp, X: np.ndarray) -> np.ndarray:
@@ -212,13 +218,24 @@ def train(
     """
     if not hidden_sizes:
         raise MlpError("hidden_sizes must be nonempty")
+    for size in hidden_sizes:
+        if not isinstance(size, numbers.Integral) or size < 1:
+            raise MlpError(f"hidden layer sizes must be integers >= 1, got {size!r}")
     if activation not in HIDDEN_ACTIVATIONS:
         raise MlpError(f"unknown activation {activation!r}")
     rng = np.random.default_rng(cfg.seed)
     sizes = [ds.num_features, *hidden_sizes, ds.num_classes]
+    # every W and b is a view into one flat vector, so Adam updates all of
+    # them with a few whole-vector ufunc calls per step
+    theta = np.zeros(sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes, sizes[1:])))
     params = []
-    for k in range(len(sizes) - 1):
-        params.append((_glorot_init(rng, sizes[k + 1], sizes[k]), np.zeros(sizes[k + 1])))
+    offset = 0
+    for fan_in, fan_out in zip(sizes, sizes[1:]):
+        end = offset + fan_out * fan_in
+        W = theta[offset:end].reshape(fan_out, fan_in)
+        W[...] = _glorot_init(rng, fan_out, fan_in)
+        params.append((W, theta[end : end + fan_out]))
+        offset = end + fan_out
     acts_kind = [activation] * len(hidden_sizes)
 
     if cfg.class_weighted:
@@ -227,36 +244,32 @@ def train(
         cw = np.ones(ds.num_classes)
     weights = cw[ds.labels]
 
-    m_state = [(np.zeros_like(W), np.zeros_like(b)) for W, b in params]
-    v_state = [(np.zeros_like(W), np.zeros_like(b)) for W, b in params]
+    # Adam moments, the gradient and two scratch vectors; each line below
+    # keeps the per-layer formula's operation order, so the floats are equal
+    m, v, g, step, denom = (np.zeros_like(theta) for _ in range(5))
+    b1, b2 = cfg.beta1, cfg.beta2
     t = 0
     n = ds.num_samples
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
+        X, y, w = ds.features[order], ds.labels[order], weights[order]
         epoch_loss = 0.0
         for start in range(0, n, cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            loss, grads = _loss_and_grads(
-                params, acts_kind, ds.features[batch], ds.labels[batch], weights[batch]
-            )
-            epoch_loss += loss * len(batch)
+            batch = slice(start, start + cfg.batch_size)
+            loss, grads = _loss_and_grads(params, acts_kind, X[batch], y[batch], w[batch])
+            epoch_loss += loss * len(y[batch])
             t += 1
-            new_params = []
-            for k, ((W, b), (gW, gb)) in enumerate(zip(params, grads)):
-                mW, mb = m_state[k]
-                vW, vb = v_state[k]
-                mW = cfg.beta1 * mW + (1 - cfg.beta1) * gW
-                mb = cfg.beta1 * mb + (1 - cfg.beta1) * gb
-                vW = cfg.beta2 * vW + (1 - cfg.beta2) * gW**2
-                vb = cfg.beta2 * vb + (1 - cfg.beta2) * gb**2
-                m_state[k] = (mW, mb)
-                v_state[k] = (vW, vb)
-                correct1 = 1 - cfg.beta1**t
-                correct2 = 1 - cfg.beta2**t
-                step_W = cfg.learning_rate * (mW / correct1) / (np.sqrt(vW / correct2) + cfg.epsilon)
-                step_b = cfg.learning_rate * (mb / correct1) / (np.sqrt(vb / correct2) + cfg.epsilon)
-                new_params.append((W - step_W, b - step_b))
-            params = new_params
+            np.concatenate([part.ravel() for layer in grads for part in layer], out=g)
+            m *= b1
+            m += np.multiply(g, 1 - b1, out=step)
+            v *= b2
+            v += np.multiply(np.square(g, out=step), 1 - b2, out=step)
+            np.divide(m, 1 - b1**t, out=step)
+            step *= cfg.learning_rate
+            np.sqrt(np.divide(v, 1 - b2**t, out=denom), out=denom)
+            denom += cfg.epsilon
+            step /= denom
+            theta -= step
         if not np.isfinite(epoch_loss):
             raise TrainingDiverged(epoch)
         if loss_out is not None:

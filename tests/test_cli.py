@@ -69,6 +69,27 @@ class TestTrainCommand:
         code = run(["train", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "w.json")])
         assert code == 3
 
+    @pytest.mark.parametrize("hidden", ["-2", "4,x", "0", "4,0"])
+    def test_bad_hidden_exits_2_without_writing(self, small_csv, tmp_path, hidden):
+        out = tmp_path / "w.json"
+        code = run(["train", "--data", small_csv, "--hidden", hidden, "--epochs", "1", "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+
+    def test_zero_width_weight_file_exits_2(self, small_csv, tmp_path):
+        weights = tmp_path / "zero.json"
+        weights.write_text(json.dumps({
+            "version": 1,
+            "input_width": 3,
+            "layers": [
+                {"activation": "tanh", "rows": 0, "cols": 3, "weights": [], "bias": []},
+                {"activation": "softmax", "rows": 2, "cols": 0, "weights": [], "bias": [0.0, 0.0]},
+            ],
+        }))
+        code = run(["extract", "--data", small_csv, "--weights", str(weights),
+                    "--method", "eclaire", "--out", str(tmp_path / "rules.json")])
+        assert code == 2
+
 
 class TestExtractCommand:
     def test_eclaire_writes_rules_and_metrics(self, small_csv, small_weights, tmp_path):

@@ -62,7 +62,7 @@ class TestSubstituteClause:
             mlp.Layer(W0, np.zeros(1), "tanh"),
             mlp.Layer(np.array([[1.0], [-1.0]]), np.zeros(2), "softmax"),
         ))
-        H = mlp.activations(net, X, 1)
+        H = mlp.layer_outputs(net, X)[1]
         premise = frozenset({Term(0, OP_GT, float(np.tanh(0.5)))})
         truth = premise_mask(premise, H)
         out = extract.substitute_clause(Rule(premise, 0, 1.0), X, truth, 2)
@@ -153,7 +153,7 @@ class TestEclaire:
         yhat = mlp.predict_labels(quick_xor_net, X)
         default = int(np.argmax(np.bincount(yhat)))
         for layer, contributed in per_layer:
-            H = mlp.activations(quick_xor_net, X, layer)
+            H = mlp.layer_outputs(quick_xor_net, X)[layer]
             t = tree.induce(H, yhat, 5, num_classes=2)
             intermediate = tree.to_ruleset(t, default)
             expected = 0

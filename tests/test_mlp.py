@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nnrex import data, mlp
 from conftest import random_net
@@ -39,12 +41,12 @@ class TestActivations:
     def test_layer_zero_is_input(self):
         net = random_net([3, 5, 2], seed=3)
         x = np.array([0.1, 0.2, 0.3])
-        assert np.array_equal(mlp.activations(net, x, 0), x)
+        assert np.array_equal(mlp.layer_outputs(net, x)[0], x)
 
     def test_last_index_is_forward(self):
         net = random_net([3, 5, 2], seed=3)
         x = np.array([0.1, 0.2, 0.3])
-        assert np.array_equal(mlp.activations(net, x, 2), mlp.forward(net, x))
+        assert np.array_equal(mlp.layer_outputs(net, x)[2], mlp.forward(net, x))
 
     def test_hidden_tanh_matches_hand_computation(self):
         W = np.array([[1.0, 0.0], [0.5, -0.5]])
@@ -54,12 +56,7 @@ class TestActivations:
             mlp.Layer(np.eye(2), np.zeros(2), "softmax"),
         ))
         x = np.array([0.4, -0.8])
-        assert np.allclose(mlp.activations(net, x, 1), np.tanh(W @ x + b))
-
-    def test_index_out_of_range(self):
-        net = random_net([3, 5, 2], seed=3)
-        with pytest.raises(mlp.MlpError):
-            mlp.activations(net, np.zeros(3), 3)
+        assert np.allclose(mlp.layer_outputs(net, x)[1], np.tanh(W @ x + b))
 
     def test_layer_outputs_is_one_pass_over_every_layer(self):
         net = random_net([3, 5, 4, 2], seed=3)
@@ -163,6 +160,141 @@ class TestTrain:
         with pytest.raises(mlp.MlpError):
             mlp.train(blobs_dataset(), [], "tanh", mlp.TrainConfig(epochs=1))
 
+    @pytest.mark.parametrize("hidden", [[0], [-2], [4, 0], [4, 2.5], [3.0], ["4"]])
+    def test_bad_hidden_size_rejected(self, hidden):
+        with pytest.raises(mlp.MlpError, match="hidden layer sizes"):
+            mlp.train(blobs_dataset(), hidden, "tanh", mlp.TrainConfig(epochs=1))
+
+    def test_numpy_integer_hidden_size_accepted(self):
+        net = mlp.train(blobs_dataset(), [np.int64(3)], "tanh", mlp.TrainConfig(epochs=1))
+        assert net.layers[0].weight.shape == (3, 2)
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("beta1", 1.0), ("beta1", -0.5), ("beta1", float("nan")),
+        ("beta2", 1.0), ("beta2", -0.1), ("beta2", 1.5),
+        ("epsilon", 0.0), ("epsilon", -1.0), ("epsilon", float("nan")),
+        ("learning_rate", float("nan")),
+    ])
+    def test_out_of_range_rejected(self, field, value):
+        with pytest.raises(mlp.MlpError):
+            mlp.TrainConfig(**{field: value})
+
+    def test_range_edges_accepted(self):
+        mlp.TrainConfig(beta1=0.0, beta2=0.0, epsilon=1e-300)
+
+
+def _reference_train(ds, hidden_sizes, activation="tanh", cfg=mlp.TrainConfig(), loss_out=None):
+    """The per-layer Adam loop that the flat-vector trainer replaced, kept
+    as the oracle: the trainer must reproduce its weights bit for bit."""
+    rng = np.random.default_rng(cfg.seed)
+    sizes = [ds.num_features, *hidden_sizes, ds.num_classes]
+    params = []
+    for k in range(len(sizes) - 1):
+        params.append((mlp._glorot_init(rng, sizes[k + 1], sizes[k]), np.zeros(sizes[k + 1])))
+    acts_kind = [activation] * len(hidden_sizes)
+
+    if cfg.class_weighted:
+        cw = data.class_weights_from_labels(ds.labels, ds.num_classes)
+    else:
+        cw = np.ones(ds.num_classes)
+    weights = cw[ds.labels]
+
+    m_state = [(np.zeros_like(W), np.zeros_like(b)) for W, b in params]
+    v_state = [(np.zeros_like(W), np.zeros_like(b)) for W, b in params]
+    t = 0
+    n = ds.num_samples
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(n)
+        epoch_loss = 0.0
+        for start in range(0, n, cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            loss, grads = mlp._loss_and_grads(
+                params, acts_kind, ds.features[batch], ds.labels[batch], weights[batch]
+            )
+            epoch_loss += loss * len(batch)
+            t += 1
+            new_params = []
+            for k, ((W, b), (gW, gb)) in enumerate(zip(params, grads)):
+                mW, mb = m_state[k]
+                vW, vb = v_state[k]
+                mW = cfg.beta1 * mW + (1 - cfg.beta1) * gW
+                mb = cfg.beta1 * mb + (1 - cfg.beta1) * gb
+                vW = cfg.beta2 * vW + (1 - cfg.beta2) * gW**2
+                vb = cfg.beta2 * vb + (1 - cfg.beta2) * gb**2
+                m_state[k] = (mW, mb)
+                v_state[k] = (vW, vb)
+                correct1 = 1 - cfg.beta1**t
+                correct2 = 1 - cfg.beta2**t
+                step_W = cfg.learning_rate * (mW / correct1) / (np.sqrt(vW / correct2) + cfg.epsilon)
+                step_b = cfg.learning_rate * (mb / correct1) / (np.sqrt(vb / correct2) + cfg.epsilon)
+                new_params.append((W - step_W, b - step_b))
+            params = new_params
+        if not np.isfinite(epoch_loss):
+            raise mlp.TrainingDiverged(epoch)
+        if loss_out is not None:
+            loss_out.append(epoch_loss / n)
+    return params
+
+
+def _assert_same_training(ds, hidden, activation, cfg):
+    got_losses, want_losses = [], []
+    net = mlp.train(ds, hidden, activation, cfg, loss_out=got_losses)
+    want = _reference_train(ds, hidden, activation, cfg, loss_out=want_losses)
+    assert len(net.layers) == len(want)
+    for layer, (W, b) in zip(net.layers, want):
+        assert np.array_equal(layer.weight, W)
+        assert np.array_equal(layer.bias, b)
+    assert got_losses == want_losses
+
+
+class TestTrainOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(1, 40),
+        features=st.integers(1, 5),
+        classes=st.integers(2, 4),
+        hidden=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+        activation=st.sampled_from(mlp.HIDDEN_ACTIVATIONS),
+        batch_size=st.integers(1, 48),
+        class_weighted=st.booleans(),
+        epochs=st.integers(1, 3),
+    )
+    @example(seed=1, n=23, features=3, classes=3, hidden=[5, 4], activation="relu",
+             batch_size=8, class_weighted=True, epochs=2)  # ragged last batch
+    @example(seed=2, n=10, features=2, classes=2, hidden=[3], activation="elu",
+             batch_size=32, class_weighted=False, epochs=3)  # one batch larger than n
+    def test_weights_and_losses_match_per_layer_adam(
+        self, seed, n, features, classes, hidden, activation, batch_size, class_weighted, epochs
+    ):
+        rng = np.random.default_rng(seed)
+        ds = data.Dataset(
+            rng.normal(size=(n, features)),
+            rng.integers(0, classes, n),
+            tuple(f"x{i}" for i in range(features)),
+            tuple(f"c{i}" for i in range(classes)),
+        )
+        cfg = mlp.TrainConfig(epochs=epochs, batch_size=batch_size, seed=seed,
+                              class_weighted=class_weighted)
+        _assert_same_training(ds, hidden, activation, cfg)
+
+    def test_xor_preset_matches_per_layer_adam(self):
+        ds = data.gen_xor(400, 10, seed=5)
+        cfg = mlp.TrainConfig(epochs=20, batch_size=16, seed=5)
+        _assert_same_training(ds, [64, 32, 16], "tanh", cfg)
+
+    def test_divergence_epoch_matches_per_layer_adam(self):
+        ds = blobs_dataset(seed=9)
+        cfg = mlp.TrainConfig(epochs=5, batch_size=32, seed=0, learning_rate=1e200)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(mlp.TrainingDiverged) as got:
+                mlp.train(ds, [4, 4], "relu", cfg)
+            with pytest.raises(mlp.TrainingDiverged) as want:
+                _reference_train(ds, [4, 4], "relu", cfg)
+        assert got.value.epoch == want.value.epoch
+
 
 class TestSaveLoad:
     def test_round_trip_is_exact(self, tmp_path):
@@ -202,6 +334,25 @@ class TestSaveLoad:
         probs = mlp.forward(net, np.array([1.0, -1.0]))
         z = 2 * np.tanh(np.array([1.0, -1.0]))
         assert np.allclose(probs, np.exp(z) / np.exp(z).sum())
+
+    def test_zero_size_layer_rejected(self, tmp_path):
+        with pytest.raises(mlp.MlpError, match="zero-size"):
+            mlp.Mlp((
+                mlp.Layer(np.zeros((0, 3)), np.zeros(0), "tanh"),
+                mlp.Layer(np.zeros((2, 0)), np.zeros(2), "softmax"),
+            ))
+        payload = {
+            "version": 1,
+            "input_width": 3,
+            "layers": [
+                {"activation": "tanh", "rows": 0, "cols": 3, "weights": [], "bias": []},
+                {"activation": "softmax", "rows": 2, "cols": 0, "weights": [], "bias": [0.0, 0.0]},
+            ],
+        }
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(mlp.MlpError, match="zero-size"):
+            mlp.load(path)
 
     def test_version_mismatch_rejected(self, tmp_path):
         path = tmp_path / "v9.json"
