@@ -10,7 +10,7 @@ The package splits into small, composable pieces:
 - :mod:`nnrex.evaluation` -- metrics, resource tracking, cross-validation
 - :mod:`nnrex.cli` -- command-line wiring
 """
-from .data import Dataset, FoldSplit, class_weights, gen_xor, load_csv, stratified_kfold, subsample
+from .data import Dataset, FoldSplit, gen_xor, load_csv, stratified_kfold
 from .extract import (
     ExplosionGuard,
     ExtractionConfig,
@@ -30,7 +30,7 @@ from .tree import DecisionTree, induce, to_ruleset
 __version__ = "0.1.0"
 
 __all__ = [
-    "Dataset", "FoldSplit", "class_weights", "gen_xor", "load_csv", "stratified_kfold", "subsample",
+    "Dataset", "FoldSplit", "gen_xor", "load_csv", "stratified_kfold",
     "ExplosionGuard", "ExtractionConfig", "c5_direct", "deepred_star", "eclaire", "eclaire_star",
     "pedc5", "remd", "run_method",
     "EvaluationReport", "accuracy", "auc_binary", "crossval", "fidelity", "measure",

@@ -1,7 +1,8 @@
 """Command-line entry point wiring the library into reproducible runs.
 
 Exit codes: 0 success, 2 configuration error (also used by argparse for
-usage errors), 3 data error, 4 term-wise explosion-guard abort.
+usage errors), 3 data error (including training whose loss diverged),
+4 term-wise explosion-guard abort.
 
 Every command is deterministic for fixed flags and seed; measured runtime
 and peak-memory figures are the one exception and are reported separately
@@ -62,23 +63,18 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _extraction_config(args) -> extract.ExtractionConfig:
-    return extract.ExtractionConfig(
-        min_samples=args.mu,
-        include_input_layer=args.include_input_layer,
-        layer_stride=args.layer_stride,
-        sample_fraction=args.sample_fraction,
-        rule_drop_pct=args.rule_drop_pct,
-        winnow=not args.no_winnow,
-        class_weighted=args.class_weighted,
-        seed=args.seed,
-    )
+# The extraction knobs, by name and type: the fields of ExtractionConfig.
+_KNOBS = {f.name: type(f.default) for f in dataclasses.fields(extract.ExtractionConfig)}
+
+
+def _extraction_config(values: dict) -> extract.ExtractionConfig:
+    return extract.ExtractionConfig(**{key: v for key, v in values.items() if key in _KNOBS})
 
 
 def cmd_extract(args) -> int:
     ds = data.load_csv(args.data, args.label_column)
     net = mlp.load(args.weights) if args.weights else None
-    cfg = _extraction_config(args)
+    cfg = _extraction_config(vars(args))
     rs = extract.run_method(
         args.method, ds.features, ds.labels, net, cfg,
         feature_names=ds.feature_names, num_classes=ds.num_classes,
@@ -88,7 +84,7 @@ def cmd_extract(args) -> int:
     count, avg_len = rules.rule_stats(rs)
     metrics = {
         "method": args.method,
-        "mu": args.mu,
+        "mu": cfg.min_samples,
         "rule_count": count,
         "avg_rule_length": avg_len,
         "train_accuracy": evaluation.accuracy(rs, ds.features, ds.labels),
@@ -134,12 +130,12 @@ def cmd_feature_usage(args) -> int:
     return EXIT_OK
 
 
+# min_samples is not a key: the mu grid sets it.
 _CROSSVAL_KEYS = {
     "task": str, "label_column": str, "net_preset": str, "weights": str,
     "method": str, "mu_min": int, "mu_max": int, "mu_step": int, "k": int,
-    "seed": int, "include_input_layer": bool, "layer_stride": int,
-    "sample_fraction": float, "rule_drop_pct": float, "winnow": bool,
-    "class_weighted": bool, "out_dir": str, "select_by": str,
+    "out_dir": str, "select_by": str,
+    **{key: kind for key, kind in _KNOBS.items() if key != "min_samples"},
 }
 
 
@@ -189,8 +185,7 @@ def cmd_crossval(args) -> int:
     else:
         raise ConfigError(f"unknown task {task!r} (use 'xor' or 'csv:<path>')")
 
-    knobs = {f.name for f in dataclasses.fields(extract.ExtractionConfig)}
-    base = extract.ExtractionConfig(**{key: v for key, v in cfg.items() if key in knobs})
+    base = _extraction_config(cfg)
     k = cfg.get("k", 5)
     nets = None
     if "weights" in cfg:
@@ -258,12 +253,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--label-column", default="label")
     p.add_argument("--weights", help="weight file (omit only for method c5)")
     p.add_argument("--method", required=True, choices=extract.METHOD_NAMES)
-    p.add_argument("--mu", type=int, default=2, help="minimum samples for a split")
+    p.add_argument("--mu", dest="min_samples", metavar="MU", type=int, default=2,
+                   help="minimum samples for a split")
     p.add_argument("--include-input-layer", action="store_true")
     p.add_argument("--layer-stride", type=int, default=1)
     p.add_argument("--sample-fraction", type=float, default=1.0)
     p.add_argument("--rule-drop-pct", type=float, default=0.0)
-    p.add_argument("--no-winnow", action="store_true")
+    p.add_argument("--no-winnow", dest="winnow", action="store_false")
     p.add_argument("--class-weighted", action="store_true")
     p.add_argument("--rule-cap", type=int, default=extract.DEFAULT_RULE_CAP)
     p.add_argument("--seed", type=int, default=0)
@@ -299,10 +295,7 @@ def main(argv=None) -> int:
     except (ConfigError, extract.ExtractError, evaluation.EvalError, mlp.MlpError, rules.RuleSetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except data.DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except FileNotFoundError as exc:
+    except (data.DataError, mlp.TrainingDiverged, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except extract.ExplosionGuard as exc:

@@ -225,27 +225,6 @@ def stratified_sample_indices(labels: np.ndarray, fraction: float, rng: np.rando
     return out.astype(int)
 
 
-def subsample(ds: Dataset, fraction: float, stratified: bool, seed: int) -> Dataset:
-    """Draw a without-replacement subsample; stratified mode preserves
-    per-class proportions within one sample. fraction=1.0 is the identity."""
-    if not 0.0 < fraction <= 1.0:
-        raise DataError(f"fraction must be in (0, 1], got {fraction}")
-    rng = np.random.default_rng(seed)
-    if stratified:
-        idx = stratified_sample_indices(ds.labels, fraction, rng)
-    else:
-        n_keep = int(np.floor(fraction * ds.num_samples + 0.5))
-        idx = np.sort(rng.choice(ds.num_samples, size=n_keep, replace=False))
-    if len(idx) < 1:
-        raise DataError("subsample would be empty")
-    return Dataset(ds.features[idx], ds.labels[idx], ds.feature_names, ds.class_names)
-
-
-def class_weights(ds: Dataset) -> np.ndarray:
-    """Inverse-frequency class weights: N / (L * count_c); all ones when balanced."""
-    return class_weights_from_labels(ds.labels, ds.num_classes)
-
-
 def class_weights_from_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:
     counts = np.bincount(labels, minlength=num_classes).astype(float)
     n = float(len(labels))

@@ -163,9 +163,6 @@ class CrossvalResult:
     nets: list[Mlp] | None  # one per fold; None for method c5
     best_rules: list[RuleSet]  # the rule set each fold extracted for ``best``
 
-    def best_mu(self) -> int:
-        return self.best.mu
-
 
 def mu_grid(grid: tuple[int, int, int]) -> list[int]:
     mu_min, mu_max, step = grid
@@ -322,12 +319,3 @@ def report_table(reports: list[EvaluationReport]) -> str:
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
     lines.insert(1, "-" * len(lines[0]))
     return "\n".join(lines)
-
-
-def report_json(result: CrossvalResult) -> str:
-    payload = {
-        "reports": [r.to_dict() for r in result.reports],
-        "best_mu": result.best.mu,
-        "best": result.best.to_dict(),
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)

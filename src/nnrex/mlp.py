@@ -316,10 +316,10 @@ def load(path) -> Mlp:
             b = np.array(spec["bias"], dtype=float)
             layers.append(Layer(W, b, str(spec["activation"])))
         net = Mlp(tuple(layers))
+        if net.input_width != int(payload["input_width"]):
+            raise MlpError(f"{path}: declared input width does not match layer shapes")
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, MlpError):
             raise
         raise MlpError(f"{path}: malformed weight file: {exc}") from None
-    if net.input_width != int(payload["input_width"]):
-        raise MlpError(f"{path}: declared input width does not match layer shapes")
     return net

@@ -57,10 +57,6 @@ class Rule:
         if not 0.0 < self.confidence <= 1.0:
             raise RuleSetError(f"confidence must be in (0, 1], got {self.confidence}")
 
-    @property
-    def key(self) -> tuple:
-        return (self.premise, self.conclusion)
-
     def sorted_terms(self) -> list[Term]:
         return sorted(self.premise)
 
@@ -224,16 +220,6 @@ def canonicalize(rs: RuleSet) -> RuleSet:
     for r in rs.rules:
         add_canonical(out, index, r)
     return RuleSet(tuple(out), rs.default_label, rs.num_classes, rs.feature_names)
-
-
-def merge(a: RuleSet, b: RuleSet) -> RuleSet:
-    """Union of two rule sets over the same label space, canonicalized."""
-    if a.num_classes != b.num_classes:
-        raise RuleSetError(f"class-count mismatch: {a.num_classes} vs {b.num_classes}")
-    if a.default_label != b.default_label:
-        raise RuleSetError(f"default-label mismatch: {a.default_label} vs {b.default_label}")
-    names = a.feature_names if a.feature_names is not None else b.feature_names
-    return canonicalize(RuleSet(a.rules + b.rules, a.default_label, a.num_classes, names))
 
 
 def feature_usage(rs: RuleSet, num_features: int) -> np.ndarray:

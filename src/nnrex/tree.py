@@ -56,7 +56,6 @@ class TreeNode:
     left: int = -1
     right: int = -1
     klass: int = -1
-    histogram: np.ndarray | None = None
     confidence: float = 0.0
     n_samples: int = 0
 
@@ -417,7 +416,6 @@ def induce(
 
         node = nodes[nid]
         node.n_samples = len(idx)
-        node.histogram = hist
         if split is None:
             node.klass = int(np.argmax(whist))
             node.confidence = leaf_confidence(int(hist[node.klass]), len(idx))

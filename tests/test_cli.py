@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -89,6 +90,31 @@ class TestTrainCommand:
         code = run(["extract", "--data", small_csv, "--weights", str(weights),
                     "--method", "eclaire", "--out", str(tmp_path / "rules.json")])
         assert code == 2
+
+    def test_weight_file_without_input_width_exits_2(self, small_csv, small_weights, tmp_path):
+        with open(small_weights) as fh:
+            payload = json.load(fh)
+        del payload["input_width"]
+        weights = tmp_path / "no_width.json"
+        weights.write_text(json.dumps(payload))
+        code = run(["extract", "--data", small_csv, "--weights", str(weights),
+                    "--method", "eclaire", "--out", str(tmp_path / "rules.json")])
+        assert code == 2
+
+    @pytest.mark.parametrize("activation", ["relu", "elu"])
+    def test_diverged_training_exits_3_without_writing(self, tmp_path, capsys, activation):
+        csv_path = tmp_path / "huge.csv"
+        csv_path.write_text(
+            "a,b,label\n1.7e308,-1.7e308,p\n-1.7e308,1.7e308,n\n"
+            "1.7e308,1.7e308,p\n-1.7e308,-1.7e308,n\n"
+        )
+        out = tmp_path / "w.json"
+        with np.errstate(all="ignore"):
+            code = run(["train", "--data", str(csv_path), "--hidden", "4",
+                        "--activation", activation, "--epochs", "1", "--out", str(out)])
+        assert code == 3
+        assert "data error: training loss became non-finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestExtractCommand:
@@ -300,3 +326,57 @@ class TestCrossvalCommand:
 
     def test_missing_config_file_is_config_error(self, tmp_path):
         assert run(["crossval", "--config", str(tmp_path / "missing.json")]) == 2
+
+
+# One non-default value for every ExtractionConfig field.
+NON_DEFAULT_KNOBS = {
+    "min_samples": 5, "include_input_layer": True, "layer_stride": 2, "sample_fraction": 0.5,
+    "rule_drop_pct": 10.0, "winnow": False, "class_weighted": True, "seed": 7,
+}
+
+
+class Captured(Exception):
+    pass
+
+
+class TestExtractionKnobs:
+    def test_extract_flags_reach_run_method(self, small_csv, small_weights, tmp_path, monkeypatch):
+        defaults = extract.ExtractionConfig()
+        assert NON_DEFAULT_KNOBS.keys() == {f.name for f in dataclasses.fields(defaults)}
+        assert all(getattr(defaults, key) != v for key, v in NON_DEFAULT_KNOBS.items())
+        seen = []
+
+        def capture(method, X, y, net, cfg, **kwargs):
+            seen.append(cfg)
+            raise Captured
+
+        monkeypatch.setattr(extract, "run_method", capture)
+        with pytest.raises(Captured):
+            run(["extract", "--data", small_csv, "--weights", small_weights, "--method", "eclaire",
+                 "--mu", "5", "--include-input-layer", "--layer-stride", "2", "--sample-fraction", "0.5",
+                 "--rule-drop-pct", "10", "--no-winnow", "--class-weighted", "--seed", "7",
+                 "--out", str(tmp_path / "rules.json")])
+        assert seen == [extract.ExtractionConfig(**NON_DEFAULT_KNOBS)]
+
+    def test_crossval_config_reaches_base_cfg(self, small_csv, small_weights, tmp_path, monkeypatch):
+        knobs = {key: v for key, v in NON_DEFAULT_KNOBS.items() if key != "min_samples"}
+        config = {"task": f"csv:{small_csv}", "weights": small_weights, "method": "eclaire",
+                  "mu_min": 2, "mu_max": 2, "k": 3, **knobs}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        seen = []
+
+        def capture(*args, base_cfg, **kwargs):
+            seen.append(base_cfg)
+            raise Captured
+
+        monkeypatch.setattr(evaluation, "crossval", capture)
+        with pytest.raises(Captured):
+            run(["crossval", "--config", str(cfg_path)])
+        assert seen == [extract.ExtractionConfig(**knobs)]
+
+    def test_min_samples_is_not_a_crossval_key(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"task": "xor", "method": "eclaire", "min_samples": 3}')
+        assert run(["crossval", "--config", str(cfg_path)]) == 2
+        assert "unknown config key 'min_samples'" in capsys.readouterr().err

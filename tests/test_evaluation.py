@@ -1,4 +1,3 @@
-import json
 import time
 
 import numpy as np
@@ -239,12 +238,6 @@ class TestReportRendering:
         table = evaluation.report_table(result.reports)
         assert "N/A" in table
         assert "Accuracy (%)" in table
-
-    def test_json_round_trips(self, blob_crossval):
-        _, _, result = blob_crossval
-        payload = json.loads(evaluation.report_json(result))
-        assert payload["best_mu"] == result.best.mu
-        assert len(payload["reports"]) == len(result.reports)
 
 
 class TestPresets:

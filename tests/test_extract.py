@@ -267,7 +267,7 @@ class TestTermwiseBaselines:
         cfg = extract.ExtractionConfig(min_samples=5)
         a = extract.remd(net, ds.features, cfg, ds.feature_names)
         b = extract.deepred_star(net, ds.features, cfg, ds.feature_names)
-        assert set(r.key for r in a.rules) == set(r.key for r in b.rules)
+        assert {(r.premise, r.conclusion) for r in a.rules} == {(r.premise, r.conclusion) for r in b.rules}
         assert a.default_label == b.default_label
 
     def test_deepred_retains_more_live_rules(self):
@@ -349,6 +349,11 @@ class TestRunMethod:
         )
         extract.run_method(method, ds.features, net=net, cfg=extract.ExtractionConfig(min_samples=5))
         assert passes == [ds.num_samples]
+
+    def test_bad_sample_fraction_rejected(self):
+        for fraction in (0.0, -0.5, 1.5):
+            with pytest.raises(extract.ExtractError, match="sample_fraction"):
+                extract.ExtractionConfig(sample_fraction=fraction)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(extract.ExtractError, match="unknown method"):

@@ -233,29 +233,6 @@ class TestCanonicalize:
             )
 
 
-class TestMerge:
-    def test_union_with_empty_is_identity(self):
-        rs = rules.canonicalize(rs_of([([Term(0, OP_GT, 0.1)], 1, 0.9)]))
-        empty = RuleSet((), 0, 2)
-        assert rules.merge(rs, empty).rules == rs.rules
-
-    def test_disjoint_sizes_add(self):
-        a = rs_of([([Term(0, OP_GT, 0.1)], 1, 0.9)])
-        b = rs_of([([Term(1, OP_LE, 0.4)], 0, 0.8)])
-        assert len(rules.merge(a, b).rules) == 2
-
-    def test_overlap_deduplicates(self):
-        a = rs_of([([Term(0, OP_GT, 0.1)], 1, 0.9)])
-        b = rs_of([([Term(0, OP_GT, 0.1)], 1, 0.7), ([Term(1, OP_LE, 0.0)], 0, 0.2)])
-        assert len(rules.merge(a, b).rules) == 2
-
-    def test_class_count_mismatch_rejected(self):
-        a = rs_of([([], 1, 0.5)], num_classes=2)
-        b = rs_of([([], 1, 0.5)], num_classes=3)
-        with pytest.raises(rules.RuleSetError):
-            rules.merge(a, b)
-
-
 class TestFeatureUsage:
     def test_single_rule(self):
         rs = rs_of([([Term(0, OP_GT, 0.5)], 1, 0.9)])

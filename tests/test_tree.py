@@ -31,7 +31,7 @@ class TestInduce:
         assert root.feature == 0
         assert root.threshold == 0.5
         assert t.leaf_count() == 2
-        assert all(t.nodes[i].histogram.sum() == 1 for i in t.leaf_ids())
+        assert all(t.nodes[i].n_samples == 1 for i in t.leaf_ids())
 
     def test_min_samples_below_two_rejected(self):
         with pytest.raises(tree.TreeError):
