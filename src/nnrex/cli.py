@@ -153,7 +153,12 @@ def _load_experiment_config(path, overrides: dict) -> dict:
     for key, value in raw.items():
         if key not in _CROSSVAL_KEYS:
             raise ConfigError(f"{path}: unknown config key {key!r}")
-        cfg[key] = _CROSSVAL_KEYS[key](value)
+        kind = _CROSSVAL_KEYS[key]
+        # an integer is also a float, but a boolean is no number
+        accepted = (int, float) if kind is float else kind
+        if isinstance(value, bool) is not (kind is bool) or not isinstance(value, accepted):
+            raise ConfigError(f"{path}: config key {key!r} must be a {kind.__name__}, got {value!r}")
+        cfg[key] = kind(value)
     for key, value in overrides.items():
         if value is not None:
             cfg[key] = value

@@ -160,7 +160,6 @@ class CrossvalResult:
     reports: list[EvaluationReport]
     best: EvaluationReport
     folds: list[FoldSplit]
-    nets: list[Mlp] | None  # one per fold; None for method c5
     best_rules: list[RuleSet]  # the rule set each fold extracted for ``best``
 
 
@@ -234,20 +233,10 @@ def crossval(
         preset = NET_PRESETS[net_preset]
         nets = []
         for f, fold in enumerate(folds):
-            train_ds = Dataset(
-                ds.features[list(fold.train_indices)],
-                ds.labels[list(fold.train_indices)],
-                ds.feature_names,
-                ds.class_names,
-            )
-            nets.append(
-                train(
-                    train_ds,
-                    preset.hidden_sizes,
-                    preset.activation,
-                    TrainConfig(epochs=preset.epochs, batch_size=preset.batch_size, seed=seed + f),
-                )
-            )
+            idx = list(fold.train_indices)
+            train_ds = Dataset(ds.features[idx], ds.labels[idx], ds.feature_names, ds.class_names)
+            train_cfg = TrainConfig(epochs=preset.epochs, batch_size=preset.batch_size, seed=seed + f)
+            nets.append(train(train_ds, preset.hidden_sizes, preset.activation, train_cfg))
 
     fold_rows = [_fold_rows(ds, fold, select_by, seed) for fold in folds]
     reports = []
@@ -284,7 +273,7 @@ def crossval(
         if selection > best_score:  # the first best grid point wins ties
             best_i, best_score, best_rules = len(reports) - 1, selection, fold_rules
 
-    return CrossvalResult(reports, reports[best_i], folds, nets, best_rules)
+    return CrossvalResult(reports, reports[best_i], folds, best_rules)
 
 
 TABLE_COLUMNS = (

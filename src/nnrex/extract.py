@@ -18,6 +18,7 @@ Four extraction families share one configuration:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -116,18 +117,27 @@ class _Prepared:
     layers: list[np.ndarray | None]  # outputs of layers 0..d+1 on X; eclaire frees each once used
 
 
+def _finite_layer_outputs(net: Mlp, X: np.ndarray) -> list[np.ndarray]:
+    """:func:`layer_outputs`, rejecting a pass whose values overflow."""
+    layers = layer_outputs(net, X)
+    for k, h in enumerate(layers):
+        if not np.isfinite(h).all():
+            raise ExtractError(f"network layer {k} gives non-finite values on this data")
+    return layers
+
+
 def _prepare(net: Mlp, X: np.ndarray, cfg: ExtractionConfig) -> _Prepared:
     """Validate X, label it with the network, subsample it, and run the
     network over the kept rows once."""
     X = _as_rows(X)
     if X.shape[1] != net.input_width:
         raise ExtractError(f"data width {X.shape[1]} does not match network input {net.input_width}")
-    layers = layer_outputs(net, X)
+    layers = _finite_layer_outputs(net, X)
     X, labels, default, weights = _labelled(X, layers[-1].argmax(axis=1), cfg, net.num_classes)
     if cfg.sample_fraction < 1.0:
         # a fresh pass rather than a row slice: BLAS may round a product
         # over a different row count differently
-        layers = layer_outputs(net, X)
+        layers = _finite_layer_outputs(net, X)
     return _Prepared(X, labels, default, weights, layers)
 
 
@@ -247,10 +257,18 @@ def eclaire_star(
     return eclaire(net, X, replace(cfg, include_input_layer=True), feature_names)
 
 
-def termwise_substitute(
-    rule: Rule,
-    term_rules: dict,
-) -> list[Rule]:
+def _combinations(rule: Rule, per_term: list[list[Rule]]):
+    """Yield the Cartesian recombination of one rule's per-term replacement
+    lists one combined rule at a time: premises unioned, confidences
+    multiplied into the rule's own."""
+    for combo in itertools.product(*per_term):
+        conf = rule.confidence
+        for r in combo:
+            conf *= r.confidence
+        yield Rule(frozenset().union(*(r.premise for r in combo)), rule.conclusion, conf)
+
+
+def termwise_substitute(rule: Rule, term_rules: dict) -> list[Rule]:
     """Cartesian recombination of per-term replacements for one rule.
 
     ``term_rules`` maps each premise term to the list of TRUE-premise rules
@@ -258,15 +276,7 @@ def termwise_substitute(
     of the per-term list sizes; a term with no TRUE premises annihilates the
     rule.
     """
-    per_term = [term_rules[t] for t in sorted(rule.premise)]
-    out = []
-    for combo in itertools.product(*per_term):
-        terms = frozenset().union(*(r.premise for r in combo)) if combo else frozenset()
-        conf = rule.confidence
-        for r in combo:
-            conf *= r.confidence
-        out.append(Rule(terms, rule.conclusion, conf))
-    return out
+    return list(_combinations(rule, [term_rules[t] for t in sorted(rule.premise)]))
 
 
 def _termwise_extract(
@@ -286,56 +296,48 @@ def _termwise_extract(
         prep.layers[d], prep.labels, cfg.min_samples, prep.label_weights, cfg.winnow, net.num_classes
     )
     current = list(to_ruleset(top_tree, prep.default).rules)
-    history: list[list[Rule]] = [list(current)] if keep_history else []
+    # the per-layer sets stay referenced until extraction finishes: the
+    # memory profile that separates deepred_star from remd
+    history = [current] if keep_history else []
 
     # live-rule accounting: how many rule objects the strategy keeps alive
     # at once, the footprint difference between eager rewriting and full
     # materialization
-    retained = len(current) if keep_history else 0
-    peak_live = len(current) + retained
-
+    peak_live = 0
     for layer in range(d, 0, -1):
-        prev_acts = prep.layers[layer - 1]
-        cur_acts = prep.layers[layer]
-        prev_cols = sort_columns(prev_acts)
+        prev_cols = sort_columns(prep.layers[layer - 1])
+        held = len(current) + sum(map(len, history))
         term_cache: dict = {}
         step_rules: list[Rule] = []
         seen: dict = {}
-        expanded = 0
+        expanded = cached = 0
         for rule in current:
+            per_term = []
             for t in sorted(rule.premise):
                 if t not in term_cache:
-                    probe = Rule(frozenset([t]), 0, 1.0)
                     term_cache[t] = clausewise_substitute(
-                        [probe], cur_acts, prev_cols, cfg.min_samples, cfg.class_weighted, cfg.winnow
+                        [Rule(frozenset([t]), 0, 1.0)], prep.layers[layer], prev_cols,
+                        cfg.min_samples, cfg.class_weighted, cfg.winnow,
                     )
-            combos = 1
-            for t in rule.premise:
-                combos *= len(term_cache[t])
-            expanded += combos
+                    cached += len(term_cache[t])
+                per_term.append(term_cache[t])
             # the guard counts the pre-deduplication expansion: that product
             # is what grows multiplicatively and must stay bounded
+            expanded += math.prod(map(len, per_term))
             if expanded > rule_cap:
                 raise ExplosionGuard(expanded, rule_cap, layer)
-            # vacuous and duplicate combinations are discarded as soon as
-            # they appear; only the surviving set carries to the next layer
-            for new_rule in termwise_substitute(rule, term_cache):
+            # combinations arrive one at a time, and vacuous and duplicate
+            # ones are discarded at once: only the surviving set is held
+            for new_rule in _combinations(rule, per_term):
                 add_canonical(step_rules, seen, new_rule)
-            cached = sum(len(v) for v in term_cache.values())
-            peak_live = max(peak_live, retained + len(current) + len(step_rules) + cached)
+            peak_live = max(peak_live, held + len(step_rules) + cached)
         current = step_rules
         if keep_history:
-            history.append(list(current))
-            retained += len(current)
+            history.append(current)
 
-    # `history` stays referenced so the materialized per-layer sets remain
-    # alive until extraction finishes (the memory profile that separates
-    # deepred_star from remd)
     if stats is not None:
         stats["peak_live_rules"] = peak_live
-    result = RuleSet(tuple(current), prep.default, net.num_classes, feature_names)
-    del history
-    return result
+    return RuleSet(tuple(current), prep.default, net.num_classes, feature_names)
 
 
 def remd(

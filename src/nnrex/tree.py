@@ -304,10 +304,10 @@ def _best_split(s: _Sample, idx: np.ndarray, block: np.ndarray, parent_entropy: 
     lo, hi = g.xs[j, p], g.xs[j, p + 1]
     with np.errstate(over="ignore"):
         threshold = (lo + hi) / 2.0
-    if threshold >= hi:
+    if not lo <= threshold < hi:
         # the midpoint of two adjacent floats rounded up to the larger one,
-        # or overflowed to inf; fall back to the lower observed value so the
-        # split still separates
+        # or overflowed to +-inf; fall back to the lower observed value so
+        # the split still separates
         threshold = lo
     return float(ratios[i]), j, float(threshold)
 

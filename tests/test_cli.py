@@ -152,6 +152,25 @@ class TestExtractCommand:
         ])
         assert code == 4
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_network_exits_2(self, small_csv, tmp_path, capsys):
+        # finite features at the float limit overflow a relu layer to inf
+        weights = str(tmp_path / "relu.json")
+        run(["train", "--data", small_csv, "--hidden", "8", "--activation", "relu",
+             "--epochs", "20", "--seed", "1", "--out", weights])
+        X = np.random.default_rng(0).choice([-1.7e308, 1.7e308], size=(40, 3))
+        big = tmp_path / "big.csv"
+        big.write_text("a,b,c,label\n" + "".join(
+            ",".join(repr(float(v)) for v in row) + f",{'neg' if i % 2 else 'pos'}\n"
+            for i, row in enumerate(X)
+        ))
+        capsys.readouterr()
+        code = run(["extract", "--data", str(big), "--weights", weights,
+                    "--method", "eclaire", "--out", str(tmp_path / "r.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "non-finite" in err and "Traceback" not in err
+
     def test_unknown_method_is_usage_error(self, small_csv, tmp_path):
         with pytest.raises(SystemExit) as info:
             run(["extract", "--data", small_csv, "--method", "sorcery", "--out", str(tmp_path / "x")])
@@ -323,6 +342,24 @@ class TestCrossvalCommand:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text('{"task": "xor", "method": "eclaire", "typo_key": 1}')
         assert run(["crossval", "--config", str(cfg_path)]) == 2
+
+    @pytest.mark.parametrize("key, value", [
+        ("winnow", "false"), ("class_weighted", 0), ("mu_min", 2.9), ("k", True),
+        ("seed", "1"), ("sample_fraction", True), ("rule_drop_pct", "5"), ("method", 3),
+    ])
+    def test_mistyped_value_is_config_error(self, tmp_path, key, value):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"task": "xor", "method": "eclaire", "net_preset": "xor", key: value}))
+        with pytest.raises(cli.ConfigError, match=repr(key)):
+            cli._load_experiment_config(cfg_path, {})
+
+    def test_values_keep_their_json_types(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"task": "xor", "method": "eclaire", "net_preset": "xor", '
+                            '"winnow": false, "k": 3, "rule_drop_pct": 5}')
+        cfg = cli._load_experiment_config(cfg_path, {})
+        assert cfg["winnow"] is False and cfg["k"] == 3
+        assert cfg["rule_drop_pct"] == 5.0 and isinstance(cfg["rule_drop_pct"], float)
 
     def test_missing_config_file_is_config_error(self, tmp_path):
         assert run(["crossval", "--config", str(tmp_path / "missing.json")]) == 2

@@ -294,6 +294,19 @@ class TestTermwiseBaselines:
         assert info.value.rule_count > 10
         assert info.value.layer >= 1
 
+    def test_guard_bounds_memory(self, xor_ds, xor_folds, quick_xor_net):
+        # each rule's combinations stream into the deduplicated step set, so
+        # memory stays near that set and the term cache (about 1.5 MB here)
+        # rather than the raw expansion the guard counts (10 MB held whole)
+        X = xor_ds.features[list(xor_folds[0].train_indices)][:300]
+        cfg = extract.ExtractionConfig(min_samples=10)
+
+        def fire():
+            with pytest.raises(extract.ExplosionGuard):
+                extract.remd(quick_xor_net, X, cfg, rule_cap=20_000)
+
+        assert traced_peak(fire) < 4_000_000
+
     def test_empty_top_ruleset_means_default_only(self):
         # a constant network yields a single empty-premise top rule, which
         # substitutes into the always-true rule
@@ -338,6 +351,20 @@ class TestRunMethod:
             extract.run_method(
                 method, X, xor_ds.labels[:60], quick_xor_net, extract.ExtractionConfig(min_samples=5)
             )
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("method", ["eclaire", "eclaire_star", "remd", "deepred_star", "pedc5"])
+    @pytest.mark.parametrize("sample_fraction", [1.0, 0.5])
+    def test_overflowing_layer_output_rejected(self, method, sample_fraction):
+        # finite input whose first hidden layer overflows to inf
+        net = mlp.Mlp((
+            mlp.Layer(np.full((3, 2), 1e200), np.zeros(3), "relu"),
+            mlp.Layer(np.ones((2, 3)), np.zeros(2), "softmax"),
+        ))
+        X = np.random.default_rng(5).uniform(1e200, 2e200, size=(40, 2))
+        cfg = extract.ExtractionConfig(min_samples=5, sample_fraction=sample_fraction)
+        with pytest.raises(extract.ExtractError, match="layer 1 gives non-finite"):
+            extract.run_method(method, X, net=net, cfg=cfg)
 
     @pytest.mark.parametrize("method", ["eclaire", "eclaire_star", "remd", "deepred_star", "pedc5"])
     def test_one_forward_pass_per_extraction(self, method, monkeypatch):

@@ -55,9 +55,11 @@ class TestInduce:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("winnow", [True, False])
     def test_overflowing_midpoint_splits_at_lower_value_without_warning(self, winnow):
-        X = np.array([[1e308], [1e308], [1.7e308], [1.7e308]])
-        t = tree.induce(X, np.array([0, 0, 1, 1]), 2, winnow=winnow)
-        assert t.nodes[t.root].threshold == 1e308
+        # the midpoints of these pairs overflow to +inf and -inf
+        for lo, hi in ((1e308, 1.7e308), (-1.7e308, -1e308)):
+            X = np.array([[lo], [lo], [hi], [hi]])
+            t = tree.induce(X, np.array([0, 0, 1, 1]), 2, winnow=winnow)
+            assert t.nodes[t.root].threshold == lo
 
     def test_empty_input_rejected(self):
         with pytest.raises(tree.TreeError):
@@ -219,6 +221,10 @@ class TestWinnow:
 FINITE = st.floats(-1e6, 1e6, allow_nan=False) | st.sampled_from([0.3, 1 - 2**-53, -1.0])
 
 
+# FINITE plus values whose sums overflow, for the termination properties only
+EXTREME = FINITE | st.sampled_from([1e308, -1e308, 1.7e308, -1.7e308])
+
+
 def assert_induction_partitions(X, y, min_samples, winnow):
     """Induction returns, every split has two non-empty children, and the
     leaf rules partition the rows."""
@@ -241,7 +247,7 @@ class TestTerminationProperties:
     @settings(max_examples=80, deadline=None)
     @given(st.data(), st.integers(2, 30), st.integers(1, 3), st.integers(2, 4), st.booleans())
     def test_adjacent_float_columns(self, data, n, m, min_samples, winnow):
-        lo = np.array(data.draw(st.lists(FINITE, min_size=m, max_size=m)))
+        lo = np.array(data.draw(st.lists(EXTREME, min_size=m, max_size=m)))
         upper = np.array(data.draw(st.lists(st.booleans(), min_size=n * m, max_size=n * m)))
         X = np.where(upper.reshape(n, m), np.nextafter(lo, np.inf), lo)
         assert_induction_partitions(X, data.draw(labels(n)), min_samples, winnow)
@@ -249,8 +255,8 @@ class TestTerminationProperties:
     @settings(max_examples=50, deadline=None)
     @given(st.data(), st.integers(2, 30), st.integers(1, 3), st.integers(2, 4), st.booleans())
     def test_constant_columns(self, data, n, m, min_samples, winnow):
-        constant = data.draw(st.lists(FINITE, min_size=m, max_size=m))
-        varying = data.draw(st.lists(FINITE, min_size=n, max_size=n))
+        constant = data.draw(st.lists(EXTREME, min_size=m, max_size=m))
+        varying = data.draw(st.lists(EXTREME, min_size=n, max_size=n))
         X = np.column_stack([np.full(n, c) for c in constant] + [varying])
         assert_induction_partitions(X, data.draw(labels(n)), min_samples, winnow)
 
@@ -258,7 +264,7 @@ class TestTerminationProperties:
     @given(st.data(), st.integers(1, 6), st.integers(2, 30), st.integers(2, 4), st.booleans())
     def test_duplicate_rows(self, data, k, n, min_samples, winnow):
         pool = np.array(data.draw(st.lists(
-            st.lists(FINITE, min_size=2, max_size=2), min_size=k, max_size=k)))
+            st.lists(EXTREME, min_size=2, max_size=2), min_size=k, max_size=k)))
         picks = data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
         X = pool[picks]
         assert_induction_partitions(X, data.draw(labels(n)), min_samples, winnow)
