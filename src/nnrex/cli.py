@@ -1,7 +1,7 @@
 """Command-line entry point wiring the library into reproducible runs.
 
 Exit codes: 0 success, 2 configuration error (also used by argparse for
-usage errors), 3 data error (including training whose loss diverged),
+usage errors), 3 data error (including training that diverged),
 4 term-wise explosion-guard abort.
 
 Every command is deterministic for fixed flags and seed; measured runtime
@@ -211,9 +211,8 @@ def cmd_crossval(args) -> int:
     with open(out_dir / "best_summary.json", "w") as fh:
         json.dump(result.best.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    with open(out_dir / "report_table.txt", "w") as fh:
-        fh.write(evaluation.report_table(result.reports))
-        fh.write("\n")
+    table = evaluation.report_table(result.reports)
+    (out_dir / "report_table.txt").write_text(table + "\n")
     data.export_folds(result.folds, out_dir / "folds.json")
 
     # feature-usage table of the best report's first-fold rule set
@@ -226,7 +225,7 @@ def cmd_crossval(args) -> int:
             writer.writerow([name, f"{value:.6f}"])
     rules.serialize(rs, out_dir / "rules_best.json")
 
-    print(evaluation.report_table(result.reports))
+    print(table)
     print(f"\nbest mu: {result.best.mu}  (outputs in {out_dir})")
     return EXIT_OK
 

@@ -1,11 +1,13 @@
 """Feed-forward network with per-layer output capture and a small
 self-contained trainer (Adam on weighted softmax cross-entropy).
 
-The trainer keeps every weight and bias as a view into one flat parameter
-vector and applies each Adam step to the whole vector at once, with the
-per-element operations of the textbook per-layer update in the same order,
-so the trained weights are the same floats. Minibatches are slices of one
-shuffled copy of the data per epoch.
+The trainer builds the returned network's layers up front and updates
+them in place: every weight and bias is a view into one flat parameter
+vector, and backprop writes each layer's gradient straight into its view of
+one flat gradient vector. Each Adam step then updates the whole vector at
+once, with the per-element operations of the textbook per-layer update in
+the same order, so the trained weights are the same floats. Minibatches are
+slices of one shuffled copy of the data per epoch.
 
 Networks are immutable after training or loading and safe to share across
 threads; training mutates a private instance only.
@@ -31,8 +33,8 @@ class MlpError(ValueError):
 
 
 class TrainingDiverged(RuntimeError):
-    def __init__(self, epoch: int):
-        super().__init__(f"training loss became non-finite at epoch {epoch}")
+    def __init__(self, epoch: int, what: str = "training loss"):
+        super().__init__(f"{what} became non-finite at epoch {epoch}")
         self.epoch = epoch
 
 
@@ -114,13 +116,10 @@ def _apply_activation(z: np.ndarray, kind: str) -> np.ndarray:
         return np.maximum(z, 0.0)
     if kind == "elu":
         return np.where(z > 0, z, ELU_ALPHA * np.expm1(z))
+    if kind == "softmax":
+        e = np.exp(z - z.max(axis=-1, keepdims=True))
+        return e / e.sum(axis=-1, keepdims=True)
     raise MlpError(f"unknown activation {kind!r}")
-
-
-def _softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def layer_outputs(net: Mlp, x: np.ndarray) -> list[np.ndarray]:
@@ -133,9 +132,9 @@ def layer_outputs(net: Mlp, x: np.ndarray) -> list[np.ndarray]:
     if h.shape[1] != net.input_width:
         raise MlpError(f"input width {h.shape[1]} does not match network input {net.input_width}")
     outs = [h]
-    for k, layer in enumerate(net.layers):
+    for layer in net.layers:
         z = h @ layer.weight.T + layer.bias
-        h = _softmax(z) if k == len(net.layers) - 1 else _apply_activation(z, layer.activation)
+        h = _apply_activation(z, layer.activation)
         outs.append(h)
     return [h[0] for h in outs] if squeeze else outs
 
@@ -156,51 +155,41 @@ def _glorot_init(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndar
     return rng.uniform(-limit, limit, size=(fan_out, fan_in))
 
 
-def _loss_and_grads(params, acts_kind, Xb, yb, sample_w):
-    """Weighted softmax cross-entropy and its parameter gradients.
+def _loss_and_grads(layers, Xb, yb, sample_w, grads) -> float:
+    """Weighted softmax cross-entropy; its gradient for each layer is
+    written into that layer's ``(gW, gb)`` pair of ``grads``.
 
     Loss = sum_i w_i * CE_i / sum_i w_i, so balanced weights reduce to the
     plain mean.
     """
     hs = [Xb]
     zs = []
-    h = Xb
-    n_layers = len(params)
-    for k, (W, b) in enumerate(params):
-        z = h @ W.T + b
-        zs.append(z)
-        if k == n_layers - 1:
-            h = _softmax(z)
-        else:
-            h = _apply_activation(z, acts_kind[k])
-        hs.append(h)
-    probs = hs[-1]
-    n = Xb.shape[0]
+    for layer in layers:
+        zs.append(hs[-1] @ layer.weight.T + layer.bias)
+        hs.append(_apply_activation(zs[-1], layer.activation))
+    # the loss reads the probabilities before delta takes their array over
+    delta = hs.pop()
+    rows = np.arange(Xb.shape[0])
     w_total = sample_w.sum()
-    eps = 1e-12
-    loss = -(sample_w * np.log(probs[np.arange(n), yb] + eps)).sum() / w_total
+    loss = -(sample_w * np.log(delta[rows, yb] + 1e-12)).sum() / w_total
 
-    grads = []
-    delta = probs.copy()
-    delta[np.arange(n), yb] -= 1.0
+    delta[rows, yb] -= 1.0
     delta *= (sample_w / w_total)[:, None]
-    for k in range(n_layers - 1, -1, -1):
-        W, b = params[k]
-        gW = delta.T @ hs[k]
-        gb = delta.sum(axis=0)
-        grads.append((gW, gb))
+    for k in range(len(layers) - 1, -1, -1):
+        gW, gb = grads[k]
+        np.matmul(delta.T, hs[k], out=gW)
+        delta.sum(axis=0, out=gb)
         if k > 0:
-            delta = delta @ W
+            delta = delta @ layers[k].weight
             z = zs[k - 1]
-            kind = acts_kind[k - 1]
+            kind = layers[k - 1].activation
             if kind == "tanh":
                 delta *= 1.0 - hs[k] ** 2
             elif kind == "relu":
                 delta *= (z > 0).astype(float)
             elif kind == "elu":
                 delta *= np.where(z > 0, 1.0, ELU_ALPHA * np.exp(z))
-    grads.reverse()
-    return loss, grads
+    return loss
 
 
 def train(
@@ -213,8 +202,8 @@ def train(
     """Train a new network on the dataset with minibatch Adam.
 
     Deterministic for a fixed config seed. Raises :class:`TrainingDiverged`
-    when the epoch loss stops being finite. Mean per-epoch losses are
-    appended to ``loss_out`` when given.
+    when the epoch loss or Adam's squared-gradient average stops being
+    finite. Mean per-epoch losses are appended to ``loss_out`` when given.
     """
     if not hidden_sizes:
         raise MlpError("hidden_sizes must be nonempty")
@@ -225,18 +214,22 @@ def train(
         raise MlpError(f"unknown activation {activation!r}")
     rng = np.random.default_rng(cfg.seed)
     sizes = [ds.num_features, *hidden_sizes, ds.num_classes]
-    # every W and b is a view into one flat vector, so Adam updates all of
-    # them with a few whole-vector ufunc calls per step
+    kinds = [activation] * len(hidden_sizes) + ["softmax"]
+    # every W and b is a view into the flat theta, and its gW and gb the same
+    # view into the flat gradient g, so Adam updates all of them with a few
+    # whole-vector ufunc calls per step; m and v are its moments, step and
+    # denom scratch vectors
     theta = np.zeros(sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes, sizes[1:])))
-    params = []
+    m, v, g, step, denom = (np.zeros_like(theta) for _ in range(5))
+    layers, grads = [], []
     offset = 0
-    for fan_in, fan_out in zip(sizes, sizes[1:]):
+    for fan_in, fan_out, kind in zip(sizes, sizes[1:], kinds):
         end = offset + fan_out * fan_in
         W = theta[offset:end].reshape(fan_out, fan_in)
         W[...] = _glorot_init(rng, fan_out, fan_in)
-        params.append((W, theta[end : end + fan_out]))
+        layers.append(Layer(W, theta[end : end + fan_out], kind))
+        grads.append((g[offset:end].reshape(fan_out, fan_in), g[end : end + fan_out]))
         offset = end + fan_out
-    acts_kind = [activation] * len(hidden_sizes)
 
     if cfg.class_weighted:
         cw = class_weights_from_labels(ds.labels, ds.num_classes)
@@ -244,9 +237,6 @@ def train(
         cw = np.ones(ds.num_classes)
     weights = cw[ds.labels]
 
-    # Adam moments, the gradient and two scratch vectors; each line below
-    # keeps the per-layer formula's operation order, so the floats are equal
-    m, v, g, step, denom = (np.zeros_like(theta) for _ in range(5))
     b1, b2 = cfg.beta1, cfg.beta2
     t = 0
     n = ds.num_samples
@@ -256,10 +246,11 @@ def train(
         epoch_loss = 0.0
         for start in range(0, n, cfg.batch_size):
             batch = slice(start, start + cfg.batch_size)
-            loss, grads = _loss_and_grads(params, acts_kind, X[batch], y[batch], w[batch])
+            loss = _loss_and_grads(layers, X[batch], y[batch], w[batch], grads)
             epoch_loss += loss * len(y[batch])
             t += 1
-            np.concatenate([part.ravel() for layer in grads for part in layer], out=g)
+            # each Adam line keeps the per-layer formula's operation order,
+            # so the floats are equal
             m *= b1
             m += np.multiply(g, 1 - b1, out=step)
             v *= b2
@@ -272,11 +263,11 @@ def train(
             theta -= step
         if not np.isfinite(epoch_loss):
             raise TrainingDiverged(epoch)
+        # an overflowed g**2 leaves v at inf and every later step at 0
+        if not np.isfinite(v).all():
+            raise TrainingDiverged(epoch, "Adam's squared-gradient average")
         if loss_out is not None:
             loss_out.append(epoch_loss / n)
-
-    layers = [Layer(W, b, acts_kind[k]) for k, (W, b) in enumerate(params[:-1])]
-    layers.append(Layer(params[-1][0], params[-1][1], "softmax"))
     return Mlp(tuple(layers))
 
 

@@ -265,7 +265,10 @@ class TestCriterion9NumericalChecks:
         Xb = rng.normal(size=(10, 4))
         yb = rng.integers(0, 2, 10)
         wb = rng.uniform(0.5, 1.5, 10)
-        _, grads = mlp._loss_and_grads(params, kinds, Xb, yb, wb)
+        layers = [mlp.Layer(W, b, kind) for (W, b), kind in zip(params, [*kinds, "softmax"])]
+        grads = [(np.zeros_like(W), np.zeros_like(b)) for W, b in params]
+        scratch = [(np.zeros_like(W), np.zeros_like(b)) for W, b in params]
+        mlp._loss_and_grads(layers, Xb, yb, wb, grads)
         h = 1e-5
         worst = 0.0
         for k, (W, b) in enumerate(params):
@@ -275,9 +278,9 @@ class TestCriterion9NumericalChecks:
                     ix = it.multi_index
                     old = arr[ix]
                     arr[ix] = old + h
-                    lp, _ = mlp._loss_and_grads(params, kinds, Xb, yb, wb)
+                    lp = mlp._loss_and_grads(layers, Xb, yb, wb, scratch)
                     arr[ix] = old - h
-                    lm, _ = mlp._loss_and_grads(params, kinds, Xb, yb, wb)
+                    lm = mlp._loss_and_grads(layers, Xb, yb, wb, scratch)
                     arr[ix] = old
                     fd = (lp - lm) / (2 * h)
                     worst = max(worst, abs(fd - g[ix]) / max(abs(fd), abs(g[ix]), 1e-8))

@@ -116,6 +116,19 @@ class TestTrainCommand:
         assert "data error: training loss became non-finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_adam_moment_exits_3_without_writing(self, tmp_path, capsys):
+        csv_path = tmp_path / "big.csv"
+        csv_path.write_text(
+            "a,b,label\n1e300,-2e300,p\n-3e300,1e300,n\n2e300,3e300,p\n-1e300,-3e300,n\n"
+        )
+        out = tmp_path / "w.json"
+        with np.errstate(all="ignore"):
+            code = run(["train", "--data", str(csv_path), "--hidden", "4",
+                        "--activation", "relu", "--epochs", "20", "--out", str(out)])
+        assert code == 3
+        assert "data error: Adam's squared-gradient average became non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestExtractCommand:
     def test_eclaire_writes_rules_and_metrics(self, small_csv, small_weights, tmp_path):
@@ -207,7 +220,8 @@ class TestFeatureUsageCommand:
 
 
 class TestCrossvalCommand:
-    def test_runs_from_config_and_writes_reports(self, small_csv, small_weights, tmp_path, capsys):
+    def test_runs_from_config_and_writes_reports(self, small_csv, small_weights, tmp_path, capsys,
+                                                 monkeypatch):
         config = {
             "task": f"csv:{small_csv}",
             "label_column": "label",
@@ -220,12 +234,23 @@ class TestCrossvalCommand:
         }
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
+        tables = []
+        original = evaluation.report_table
+
+        def recording_table(reports):
+            tables.append(original(reports))
+            return tables[-1]
+
+        monkeypatch.setattr(evaluation, "report_table", recording_table)
         assert run(["crossval", "--config", str(cfg_path)]) == 0
         out = tmp_path / "out"
         assert (out / "report_mu_2.json").exists()
         assert (out / "report_mu_3.json").exists()
         assert (out / "best_summary.json").exists()
-        assert (out / "report_table.txt").exists()
+        # rendered once, written to the file and printed
+        assert len(tables) == 1
+        assert (out / "report_table.txt").read_text() == tables[0] + "\n"
+        assert capsys.readouterr().out.startswith(tables[0] + "\n\nbest mu: ")
         assert (out / "folds.json").exists()
         usage = (out / "feature_usage.csv").read_text().strip().split("\n")
         assert usage[0] == "feature,fraction_of_rules"

@@ -1,7 +1,12 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nnrex import data
+from nnrex import cli, data
 
 
 def write_csv(path, text):
@@ -141,6 +146,48 @@ class TestStratifiedKfold:
         data.export_folds(xor_folds, out)
         loaded = json.loads(out.read_text())
         assert loaded == [list(f.test_indices) for f in xor_folds]
+
+
+class TestProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data(), st.integers(2, 6), st.integers(0, 2**16))
+    def test_stratified_kfold_deals_every_row_once_and_evenly(self, draw, k, seed):
+        # a class is absent or has at least k rows, as stratified_kfold requires
+        counts = draw.draw(st.lists(st.just(0) | st.integers(k, 4 * k), min_size=2, max_size=4)
+                           .filter(any))
+        labels = np.random.default_rng(seed).permutation(np.repeat(np.arange(len(counts)), counts))
+        ds = data.Dataset(np.zeros((len(labels), 1)), labels, ("a",),
+                          tuple(f"c{i}" for i in range(len(counts))))
+        folds = data.stratified_kfold(ds, k, seed)
+        assert len(folds) == k
+        tests = [list(f.test_indices) for f in folds]
+        assert sorted(i for t in tests for i in t) == list(range(len(labels)))
+        for fold, test in zip(folds, tests):
+            assert sorted([*fold.train_indices, *test]) == list(range(len(labels)))
+        sizes = [len(t) for t in tests]
+        assert max(sizes) - min(sizes) <= 1
+        per_class = np.array([np.bincount(labels[t], minlength=len(counts)) for t in tests])
+        assert (per_class.max(axis=0) - per_class.min(axis=0) <= 1).all()
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 60), st.integers(2, 6), st.integers(0, 2**16))
+    def test_load_csv_reads_back_what_gen_xor_writes(self, n, dims, seed):
+        want = data.gen_xor(n, dims, seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "xor.csv"
+            assert cli.main(["gen-xor", "--n", str(n), "--dims", str(dims),
+                             "--seed", str(seed), "--out", str(path)]) == 0
+            if len(set(want.labels)) < 2:
+                with pytest.raises(data.DataError, match="fewer than 2"):
+                    data.load_csv(path, "label")
+                return
+            got = data.load_csv(path, "label")
+        assert got.features.tobytes() == want.features.tobytes()
+        assert got.feature_names == want.feature_names
+        # load_csv names classes in order of first appearance
+        first = want.class_names[want.labels[0]]
+        assert got.class_names == (first, *(c for c in want.class_names if c != first))
+        assert [got.class_names[i] for i in got.labels] == [want.class_names[i] for i in want.labels]
 
 
 class TestSubsample:

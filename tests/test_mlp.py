@@ -93,7 +93,10 @@ class TestGradients:
         Xb = rng.normal(size=(8, 4))
         yb = rng.integers(0, 3, 8)
         wb = rng.uniform(0.5, 2.0, 8)
-        _, grads = mlp._loss_and_grads(params, kinds, Xb, yb, wb)
+        layers = [mlp.Layer(W, b, kind) for (W, b), kind in zip(params, [*kinds, "softmax"])]
+        grads = [(np.zeros_like(W), np.zeros_like(b)) for W, b in params]
+        scratch = [(np.zeros_like(W), np.zeros_like(b)) for W, b in params]
+        mlp._loss_and_grads(layers, Xb, yb, wb, grads)
         h = 1e-5
         worst = 0.0
         for k, (W, b) in enumerate(params):
@@ -103,9 +106,9 @@ class TestGradients:
                     ix = it.multi_index
                     old = arr[ix]
                     arr[ix] = old + h
-                    lp, _ = mlp._loss_and_grads(params, kinds, Xb, yb, wb)
+                    lp = mlp._loss_and_grads(layers, Xb, yb, wb, scratch)
                     arr[ix] = old - h
-                    lm, _ = mlp._loss_and_grads(params, kinds, Xb, yb, wb)
+                    lm = mlp._loss_and_grads(layers, Xb, yb, wb, scratch)
                     arr[ix] = old
                     fd = (lp - lm) / (2 * h)
                     denom = max(abs(fd), abs(g[ix]), 1e-8)
@@ -156,6 +159,15 @@ class TestTrain:
                 mlp.train(ds, [4, 4], "relu", cfg)
         assert 0 <= info.value.epoch < 5
 
+    def test_overflowing_adam_moment_raises(self):
+        # the loss stays finite on these features, but g**2 overflows
+        X = np.array([[1e300, -2e300], [-3e300, 1e300], [2e300, 3e300], [-1e300, -3e300]])
+        ds = data.Dataset(X, np.array([0, 1, 0, 1]), ("a", "b"), ("p", "n"))
+        with np.errstate(over="ignore"):
+            with pytest.raises(mlp.TrainingDiverged, match="squared-gradient") as info:
+                mlp.train(ds, [4], "relu", mlp.TrainConfig(epochs=20, seed=0))
+        assert info.value.epoch == 0
+
     def test_empty_hidden_rejected(self):
         with pytest.raises(mlp.MlpError):
             mlp.train(blobs_dataset(), [], "tanh", mlp.TrainConfig(epochs=1))
@@ -185,6 +197,57 @@ class TestTrainConfig:
         mlp.TrainConfig(beta1=0.0, beta2=0.0, epsilon=1e-300)
 
 
+def _reference_softmax(z):
+    shifted = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _reference_loss_and_grads(params, acts_kind, Xb, yb, sample_w):
+    """The separate forward pass and gradient list that the in-place
+    backprop replaced, kept verbatim so the oracle shares no gradient code
+    with the trainer."""
+    hs = [Xb]
+    zs = []
+    h = Xb
+    n_layers = len(params)
+    for k, (W, b) in enumerate(params):
+        z = h @ W.T + b
+        zs.append(z)
+        if k == n_layers - 1:
+            h = _reference_softmax(z)
+        else:
+            h = mlp._apply_activation(z, acts_kind[k])
+        hs.append(h)
+    probs = hs[-1]
+    n = Xb.shape[0]
+    w_total = sample_w.sum()
+    eps = 1e-12
+    loss = -(sample_w * np.log(probs[np.arange(n), yb] + eps)).sum() / w_total
+
+    grads = []
+    delta = probs.copy()
+    delta[np.arange(n), yb] -= 1.0
+    delta *= (sample_w / w_total)[:, None]
+    for k in range(n_layers - 1, -1, -1):
+        W, b = params[k]
+        gW = delta.T @ hs[k]
+        gb = delta.sum(axis=0)
+        grads.append((gW, gb))
+        if k > 0:
+            delta = delta @ W
+            z = zs[k - 1]
+            kind = acts_kind[k - 1]
+            if kind == "tanh":
+                delta *= 1.0 - hs[k] ** 2
+            elif kind == "relu":
+                delta *= (z > 0).astype(float)
+            elif kind == "elu":
+                delta *= np.where(z > 0, 1.0, mlp.ELU_ALPHA * np.exp(z))
+    grads.reverse()
+    return loss, grads
+
+
 def _reference_train(ds, hidden_sizes, activation="tanh", cfg=mlp.TrainConfig(), loss_out=None):
     """The per-layer Adam loop that the flat-vector trainer replaced, kept
     as the oracle: the trainer must reproduce its weights bit for bit."""
@@ -210,7 +273,7 @@ def _reference_train(ds, hidden_sizes, activation="tanh", cfg=mlp.TrainConfig(),
         epoch_loss = 0.0
         for start in range(0, n, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            loss, grads = mlp._loss_and_grads(
+            loss, grads = _reference_loss_and_grads(
                 params, acts_kind, ds.features[batch], ds.labels[batch], weights[batch]
             )
             epoch_loss += loss * len(batch)
