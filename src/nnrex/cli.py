@@ -195,6 +195,8 @@ def cmd_crossval(args) -> int:
     nets = None
     if "weights" in cfg:
         nets = [mlp.load(cfg["weights"])] * k
+        print(f"note: all {k} folds score the one net in {cfg['weights']}, so the test folds "
+              "are not held out from its training", file=sys.stderr)
     grid = (cfg["mu_min"], cfg["mu_max"], cfg.get("mu_step", 1))
     result = evaluation.crossval(
         ds, cfg["method"], grid,
@@ -295,7 +297,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        # finite input near the float limit overflows inside numpy; the typed errors below report it
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.fn(args)
     except (ConfigError, extract.ExtractError, evaluation.EvalError, mlp.MlpError, rules.RuleSetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

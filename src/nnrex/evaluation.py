@@ -1,10 +1,10 @@
 """Metrics, resource tracking, and the cross-validation harness.
 
 The harness mirrors the reporting protocol of the experiments it
-reproduces: stratified k-fold, one trained network per fold, a grid of
-minimum-split values, and a summary of the grid point that performed best
-on the test folds (with an optional validation-split selection for honest
-model choice).
+reproduces: stratified k-fold, where each fold trains its network and then
+extracts rules at every point of a grid of minimum-split values, and a
+summary of the grid point that performed best on the test folds (with an
+optional validation-split selection for honest model choice).
 """
 from __future__ import annotations
 
@@ -170,36 +170,6 @@ def mu_grid(grid: tuple[int, int, int]) -> list[int]:
     return list(range(mu_min, mu_max + 1, step))
 
 
-@dataclass(frozen=True)
-class _FoldRows:
-    """One fold's rows, which every grid point reuses: the rows rules are
-    extracted from, the held-out test rows and, when selecting by
-    validation, the quarter of the training rows held out from extraction."""
-
-    X_extract: np.ndarray
-    y_extract: np.ndarray
-    X_test: np.ndarray
-    y_test: np.ndarray
-    X_val: np.ndarray | None
-    y_val: np.ndarray | None
-
-
-def _fold_rows(ds: Dataset, fold: FoldSplit, select_by: str, seed: int) -> _FoldRows:
-    train_idx = np.array(fold.train_indices)
-    test_idx = np.array(fold.test_indices)
-    assert not set(train_idx) & set(test_idx)
-    X_train, y_train = ds.features[train_idx], ds.labels[train_idx]
-    X_test, y_test = ds.features[test_idx], ds.labels[test_idx]
-    if select_by != "validation":
-        return _FoldRows(X_train, y_train, X_test, y_test, None, None)
-    val = stratified_kfold(Dataset(X_train, y_train, ds.feature_names, ds.class_names), 4, seed)[0]
-    extract_idx = np.array(val.train_indices)
-    val_idx = np.array(val.test_indices)
-    return _FoldRows(
-        X_train[extract_idx], y_train[extract_idx], X_test, y_test, X_train[val_idx], y_train[val_idx]
-    )
-
-
 def crossval(
     ds: Dataset,
     method: str,
@@ -213,12 +183,13 @@ def crossval(
 ) -> CrossvalResult:
     """Stratified k-fold evaluation of one method over a mu grid.
 
-    Per fold, a network is trained on the training split (or taken from
-    ``nets``), rules are extracted from the training split only, and all
-    metrics are computed on the held-out test split. The summary report is
-    the grid point with the best mean test accuracy, mirroring the reported
-    protocol; pass ``select_by="validation"`` to select on a quarter of the
-    training split held out from extraction instead.
+    Fold by fold, a network is trained on the training split (or taken
+    from ``nets``), and rules are then extracted from the training split
+    only at every grid point and scored on the held-out test split. The
+    summary report is the grid point with the best mean test accuracy,
+    mirroring the reported protocol; pass ``select_by="validation"`` to
+    select on a quarter of the training split held out from extraction
+    instead.
     """
     if method not in METHOD_NAMES:
         raise ExtractError(f"unknown method {method!r}; choose one of {', '.join(METHOD_NAMES)}")
@@ -226,54 +197,63 @@ def crossval(
     if select_by not in ("test_accuracy", "validation"):
         raise EvalError(f"unknown selection mode {select_by!r}")
     folds = stratified_kfold(ds, k, seed)
+    if nets is None and method != "c5" and net_preset not in NET_PRESETS:
+        raise EvalError(f"unknown net preset {net_preset!r}")
 
-    if nets is None and method != "c5":
-        if net_preset not in NET_PRESETS:
-            raise EvalError(f"unknown net preset {net_preset!r}")
-        preset = NET_PRESETS[net_preset]
-        nets = []
-        for f, fold in enumerate(folds):
-            idx = list(fold.train_indices)
-            train_ds = Dataset(ds.features[idx], ds.labels[idx], ds.feature_names, ds.class_names)
+    cfgs = [replace(base_cfg, min_samples=mu, seed=seed) for mu in mus]
+    reports = [
+        EvaluationReport(method, cfg.min_samples, seed, _config_hash(
+            {"method": method, "k": k, "seed": seed, "net_preset": net_preset, **asdict(cfg)}
+        ))
+        for cfg in cfgs
+    ]
+    fold_rules = [[] for _ in mus]  # per grid point, the rule set of each fold
+    val_accuracy = [[] for _ in mus]
+    for f, fold in enumerate(folds):
+        train_idx, test_idx = np.array(fold.train_indices), np.array(fold.test_indices)
+        assert not set(train_idx) & set(test_idx)
+        X_train, y_train = ds.features[train_idx], ds.labels[train_idx]
+        X_test, y_test = ds.features[test_idx], ds.labels[test_idx]
+        train_ds = Dataset(X_train, y_train, ds.feature_names, ds.class_names)
+        X_extract, y_extract = X_train, y_train
+        if select_by == "validation":
+            val = stratified_kfold(train_ds, 4, seed)[0]
+            extract_idx, val_idx = np.array(val.train_indices), np.array(val.test_indices)
+            X_extract, y_extract = X_train[extract_idx], y_train[extract_idx]
+            X_val, y_val = X_train[val_idx], y_train[val_idx]
+
+        if nets is not None:
+            net = nets[f]
+        elif method == "c5":
+            net = None
+        else:
+            preset = NET_PRESETS[net_preset]
             train_cfg = TrainConfig(epochs=preset.epochs, batch_size=preset.batch_size, seed=seed + f)
-            nets.append(train(train_ds, preset.hidden_sizes, preset.activation, train_cfg))
-
-    fold_rows = [_fold_rows(ds, fold, select_by, seed) for fold in folds]
-    reports = []
-    best_i, best_score, best_rules = 0, -np.inf, []
-    for mu in mus:
-        cfg = replace(base_cfg, min_samples=mu, seed=seed)
-        cfg_payload = {"method": method, "k": k, "seed": seed, "net_preset": net_preset, **asdict(cfg)}
-        report = EvaluationReport(method, mu, seed, _config_hash(cfg_payload))
-        fold_selection = []
-        fold_rules = []
-        for f, rows in enumerate(fold_rows):
-            net = nets[f] if nets is not None else None
+            net = train(train_ds, preset.hidden_sizes, preset.activation, train_cfg)
+        for cfg, report, rules_f, val_f in zip(cfgs, reports, fold_rules, val_accuracy):
             rs, seconds, peak = measure(
                 lambda: run_method(
-                    method, rows.X_extract, rows.y_extract, net, cfg,
+                    method, X_extract, y_extract, net, cfg,
                     feature_names=ds.feature_names, num_classes=ds.num_classes,
                 )
             )
-            report.fold_accuracy.append(accuracy(rs, rows.X_test, rows.y_test))
-            report.fold_fidelity.append(None if net is None else fidelity(rs, rows.X_test, net))
-            report.fold_auc.append(
-                auc_binary(rs, rows.X_test, rows.y_test) if ds.num_classes == 2 else None
-            )
+            report.fold_accuracy.append(accuracy(rs, X_test, y_test))
+            report.fold_fidelity.append(None if net is None else fidelity(rs, X_test, net))
+            report.fold_auc.append(auc_binary(rs, X_test, y_test) if ds.num_classes == 2 else None)
             count, avg_len = rule_stats(rs)
             report.fold_rule_count.append(count)
             report.fold_avg_rule_length.append(avg_len)
             report.fold_seconds.append(seconds)
             report.fold_peak_bytes.append(peak)
-            fold_rules.append(rs)
+            rules_f.append(rs)
             if select_by == "validation":
-                fold_selection.append(accuracy(rs, rows.X_val, rows.y_val))
-        reports.append(report)
-        selection = report.mean_accuracy if select_by == "test_accuracy" else float(np.mean(fold_selection))
-        if selection > best_score:  # the first best grid point wins ties
-            best_i, best_score, best_rules = len(reports) - 1, selection, fold_rules
+                val_f.append(accuracy(rs, X_val, y_val))
 
-    return CrossvalResult(reports, reports[best_i], folds, best_rules)
+    scores = [report.mean_accuracy for report in reports]
+    if select_by == "validation":
+        scores = [float(np.mean(v)) for v in val_accuracy]
+    best_i = scores.index(max(scores))  # the first best grid point wins ties
+    return CrossvalResult(reports, reports[best_i], folds, fold_rules[best_i])
 
 
 TABLE_COLUMNS = (

@@ -129,6 +129,17 @@ class TestTrainCommand:
         assert "data error: Adam's squared-gradient average became non-finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_adam_moment_prints_only_the_error(self, tmp_path, capsys):
+        csv_path = tmp_path / "big.csv"
+        csv_path.write_text(
+            "a,b,label\n1e300,-2e300,p\n-3e300,1e300,n\n2e300,3e300,p\n-1e300,-3e300,n\n"
+        )
+        code = run(["train", "--data", str(csv_path), "--hidden", "4", "--activation", "relu",
+                    "--epochs", "20", "--out", str(tmp_path / "w.json")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("data error: Adam's squared-gradient average")
+
 
 class TestExtractCommand:
     def test_eclaire_writes_rules_and_metrics(self, small_csv, small_weights, tmp_path):
@@ -183,6 +194,23 @@ class TestExtractCommand:
         err = capsys.readouterr().err
         assert code == 2
         assert "non-finite" in err and "Traceback" not in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_network_prints_only_the_error(self, small_csv, tmp_path, capsys):
+        weights = str(tmp_path / "relu.json")
+        run(["train", "--data", small_csv, "--hidden", "8", "--activation", "relu",
+             "--epochs", "20", "--seed", "1", "--out", weights])
+        X = np.random.default_rng(0).choice([-1.7e308, 1.7e308], size=(40, 3))
+        big = tmp_path / "big.csv"
+        big.write_text("a,b,c,label\n" + "".join(
+            ",".join(repr(float(v)) for v in row) + f",{'neg' if i % 2 else 'pos'}\n"
+            for i, row in enumerate(X)
+        ))
+        capsys.readouterr()
+        code = run(["extract", "--data", str(big), "--weights", weights,
+                    "--method", "eclaire", "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_unknown_method_is_usage_error(self, small_csv, tmp_path):
         with pytest.raises(SystemExit) as info:
@@ -362,6 +390,17 @@ class TestCrossvalCommand:
         test_idx = list(result.folds[0].test_indices)
         acc = evaluation.accuracy(best, ds.features[test_idx], ds.labels[test_idx])
         assert acc == result.best.fold_accuracy[0]
+
+    def test_weights_file_notes_that_test_folds_are_not_held_out(self, small_csv, small_weights, tmp_path,
+                                                                 capsys):
+        config = {"task": f"csv:{small_csv}", "mu_min": 4, "mu_max": 4, "k": 3}
+        for extra, notes in (({"method": "eclaire", "weights": small_weights}, 1), ({"method": "c5"}, 0)):
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps({**config, **extra, "out_dir": str(tmp_path / extra["method"])}))
+            assert run(["crossval", "--config", str(cfg_path)]) == 0
+            err = capsys.readouterr().err
+            assert err.count("note: ") == notes
+            assert ("not held out" in err) == bool(notes)
 
     def test_unknown_key_is_config_error(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from nnrex import data, evaluation, extract, mlp, rules
 from nnrex.rules import OP_GT, Rule, RuleSet, Term
+from conftest import random_net
 
 
 def perfect_ruleset():
@@ -219,6 +220,23 @@ class TestCrossval:
         ds = tiny_blobs(seed=3)
         evaluation.crossval(ds, "c5", (2, 5, 1), net_preset=None, k=3, seed=2, select_by="validation")
         assert calls == [3, 4, 4, 4]
+
+    def test_each_fold_trains_its_net_then_extracts_at_every_grid_point(self, monkeypatch):
+        calls = []
+        real_run = evaluation.run_method
+
+        def recording_train(train_ds, hidden_sizes, activation, cfg):
+            calls.append("train")
+            return random_net([train_ds.num_features, 4, train_ds.num_classes], activation, cfg.seed)
+
+        def recording_run(*args, **kwargs):
+            calls.append("run")
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "train", recording_train)
+        monkeypatch.setattr(evaluation, "run_method", recording_run)
+        evaluation.crossval(tiny_blobs(seed=6), "pedc5", (2, 3, 1), net_preset="xor", k=3, seed=0)
+        assert calls == ["train", "run", "run"] * 3
 
     def test_empty_grid_rejected(self):
         ds = tiny_blobs(seed=4)
