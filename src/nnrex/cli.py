@@ -35,8 +35,9 @@ def _write_dataset_csv(ds: data.Dataset, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([*ds.feature_names, "label"])
-        for row, label in zip(ds.features, ds.labels):
-            writer.writerow([repr(float(v)) for v in row] + [ds.class_names[label]])
+        # csv writes a float as its repr, which round-trips exactly
+        rows = zip(ds.features.tolist(), ds.labels)
+        writer.writerows([*row, ds.class_names[label]] for row, label in rows)
 
 
 def cmd_gen_xor(args) -> int:
@@ -102,6 +103,9 @@ def cmd_extract(args) -> int:
 def cmd_evaluate(args) -> int:
     ds = data.load_csv(args.data, args.label_column)
     rs = rules.deserialize(args.rules)
+    width = 1 + max((t.feature for r in rs.rules for t in r.premise), default=-1)
+    if width > ds.num_features:
+        raise rules.RuleSetError(f"{args.rules}: feature index {width - 1} out of range for {args.data}")
     count, avg_len = rules.rule_stats(rs)
     metrics = {
         "accuracy": evaluation.accuracy(rs, ds.features, ds.labels),

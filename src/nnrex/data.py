@@ -107,36 +107,27 @@ def load_csv(path, label_column) -> Dataset:
             raise DataError(f"{path}: no column named {label_column!r}")
         label_idx = header.index(label_column)
 
-    feature_names = [h for i, h in enumerate(header) if i != label_idx]
-    class_names: list[str] = []
+    feature_cols = [c for c in range(len(header)) if c != label_idx]
     class_index: dict[str, int] = {}
-    X = np.empty((len(rows), len(feature_names)), dtype=float)
+    X = np.empty((len(rows), len(feature_cols)), dtype=float)
     y = np.empty(len(rows), dtype=int)
     for r, row in enumerate(rows):
         if len(row) != len(header):
             raise DataError(f"{path}: row {r + 2} has {len(row)} cells, expected {len(header)}")
-        j = 0
-        for c, cell in enumerate(row):
-            if c == label_idx:
-                label = cell.strip()
-                if label not in class_index:
-                    class_index[label] = len(class_names)
-                    class_names.append(label)
-                y[r] = class_index[label]
-                continue
+        y[r] = class_index.setdefault(row[label_idx].strip(), len(class_index))
+        for j, c in enumerate(feature_cols):
             try:
-                value = float(cell)
+                value = float(row[c])
             except ValueError:
                 raise DataError(
-                    f"{path}: row {r + 2}, column {header[c]!r}: cannot parse {cell!r}"
+                    f"{path}: row {r + 2}, column {header[c]!r}: cannot parse {row[c]!r}"
                 ) from None
             if not np.isfinite(value):
                 raise DataError(f"{path}: row {r + 2}, column {header[c]!r}: non-finite value")
             X[r, j] = value
-            j += 1
-    if len(class_names) < 2:
+    if len(class_index) < 2:
         raise DataError(f"{path}: fewer than 2 distinct classes")
-    return Dataset(X, y, tuple(feature_names), tuple(class_names))
+    return Dataset(X, y, tuple(header[c] for c in feature_cols), tuple(class_index))
 
 
 def gen_xor(n: int, dims: int, seed: int) -> Dataset:
@@ -174,36 +165,23 @@ def stratified_kfold(ds: Dataset, k: int, seed: int) -> list[FoldSplit]:
     if k < 2:
         raise DataError("k must be >= 2")
     rng = np.random.default_rng(seed)
-    per_class = []
+    # each row's test fold; each class is dealt into k chunks of size floor
+    # or ceil, steering the leftover rows to the currently smallest folds so
+    # overall fold sizes also stay within one of each other
+    fold_of = np.empty(ds.num_samples, dtype=int)
+    fill = np.zeros(k, dtype=int)
     for c in range(ds.num_classes):
         idx = np.flatnonzero(ds.labels == c)
         if 0 < len(idx) < k:
             raise DataError(f"class {ds.class_names[c]!r} has {len(idx)} samples, fewer than k={k}")
         rng.shuffle(idx)
-        per_class.append(idx)
-
-    # deal each class into k chunks of size floor or ceil, steering the
-    # leftover samples to the currently smallest folds so overall fold
-    # sizes also stay within one of each other
-    test_parts: list[list[int]] = [[] for _ in range(k)]
-    for idx in per_class:
         base, extra = divmod(len(idx), k)
-        by_fill = sorted(range(k), key=lambda f: (len(test_parts[f]), f))
-        sizes = [base] * k
-        for f in by_fill[:extra]:
-            sizes[f] += 1
-        start = 0
-        for f in range(k):
-            test_parts[f].extend(int(i) for i in idx[start : start + sizes[f]])
-            start += sizes[f]
-
-    all_indices = set(range(ds.num_samples))
-    folds = []
-    for part in test_parts:
-        test = sorted(part)
-        train = sorted(all_indices.difference(test))
-        folds.append(FoldSplit(tuple(train), tuple(test)))
-    return folds
+        sizes = np.full(k, base)
+        sizes[np.argsort(fill, kind="stable")[:extra]] += 1
+        fold_of[idx] = np.repeat(np.arange(k), sizes)
+        fill += sizes
+    rows = np.arange(ds.num_samples)
+    return [FoldSplit(rows[fold_of != f], rows[fold_of == f]) for f in range(k)]
 
 
 def export_folds(folds: list[FoldSplit], path) -> None:

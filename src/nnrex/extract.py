@@ -306,7 +306,7 @@ def _termwise_extract(
     peak_live = 0
     for layer in range(d, 0, -1):
         prev_cols = sort_columns(prep.layers[layer - 1])
-        held = len(current) + sum(map(len, history))
+        held = sum(map(len, history)) if keep_history else len(current)
         term_cache: dict = {}
         step_rules: list[Rule] = []
         seen: dict = {}

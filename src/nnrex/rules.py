@@ -314,6 +314,10 @@ def from_json(payload: dict, source: str = "<json>") -> RuleSet:
             )
             rules.append(Rule(terms, int(spec["conclusion"]), float(spec["confidence"])))
         names = payload.get("feature_names")
+        width = len(names) if names is not None else float("inf")
+        bad = sorted(t.feature for r in rules for t in r.premise if not 0 <= t.feature < width)
+        if bad:
+            raise RuleSetError(f"{source}: feature index {bad[0]} out of range")
         return RuleSet(
             tuple(rules),
             int(payload["default_label"]),

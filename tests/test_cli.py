@@ -49,6 +49,16 @@ class TestGenXor:
         run(["gen-xor", "--n", "40", "--dims", "3", "--seed", "9", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_cells_are_the_repr_of_each_float(self, tmp_path):
+        values = [5e-324, 1.7e308, -1.7e308, -0.0, float(2**53 + 1), float(np.nextafter(0.3, 1))]
+        ds = data.Dataset(np.array([values, values[::-1]]), np.array([0, 1]),
+                          tuple(f"x{i}" for i in range(6)), ("p", "q"))
+        out = tmp_path / "edge.csv"
+        cli._write_dataset_csv(ds, out)
+        want = ["x0,x1,x2,x3,x4,x5,label", ",".join(map(repr, values)) + ",p",
+                ",".join(map(repr, values[::-1])) + ",q"]
+        assert out.read_bytes() == ("\r\n".join(want) + "\r\n").encode()
+
     def test_labels_obey_generator_rule_after_reparse(self, tmp_path):
         out = tmp_path / "xor.csv"
         run(["gen-xor", "--n", "200", "--dims", "5", "--seed", "4", "--out", str(out)])
@@ -234,6 +244,33 @@ class TestEvaluateCommand:
         code = run(["evaluate", "--rules", str(tmp_path / "no.json"), "--data", small_csv])
         assert code == 3
 
+    def test_rule_on_a_feature_past_the_data_exits_2(self, tmp_path, capsys):
+        rules_path = one_rule_file(tmp_path, feature=3, names=None)
+        data_path = tmp_path / "b.csv"
+        data_path.write_text("x1,x2,label\n0.1,0.9,0\n0.8,0.2,1\n")
+        assert run(["evaluate", "--rules", rules_path, "--data", str(data_path)]) == 2
+        assert "feature index 3 out of range" in capsys.readouterr().err
+
+    def test_rule_on_a_negative_feature_exits_2(self, tmp_path, capsys):
+        # a negative index would silently score the last column
+        rules_path = one_rule_file(tmp_path, feature=-1, names=None)
+        data_path = tmp_path / "b.csv"
+        data_path.write_text("x1,x2,x3,x4,label\n0.1,0.9,0.1,0.2,0\n0.8,0.2,0.7,0.9,1\n")
+        assert run(["evaluate", "--rules", rules_path, "--data", str(data_path)]) == 2
+        assert "feature index -1 out of range" in capsys.readouterr().err
+
+
+def one_rule_file(tmp_path, feature, names):
+    """A rule file holding the one rule x_feature > 0.5 -> class 1."""
+    payload = {
+        "version": 1, "num_classes": 2, "default_label": 0, "feature_names": names,
+        "rules": [{"terms": [{"feature": feature, "op": ">", "threshold": 0.5}],
+                   "conclusion": 1, "confidence": 0.9}],
+    }
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
 
 class TestFeatureUsageCommand:
     def test_prints_fraction_per_feature(self, small_csv, small_weights, tmp_path, capsys):
@@ -245,6 +282,11 @@ class TestFeatureUsageCommand:
         lines = capsys.readouterr().out.strip().split("\n")
         assert len(lines) == 3
         assert lines[0].startswith("a,")
+
+    @pytest.mark.parametrize("feature, names", [(3, ["x1"]), (-1, None)])
+    def test_rule_on_a_feature_without_a_column_exits_2(self, tmp_path, capsys, feature, names):
+        assert run(["feature-usage", "--rules", one_rule_file(tmp_path, feature, names)]) == 2
+        assert f"feature index {feature} out of range" in capsys.readouterr().err
 
 
 class TestCrossvalCommand:

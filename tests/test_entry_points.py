@@ -3,7 +3,9 @@ values. In the library, training and every extraction method either return
 a well-formed result or raise an error that the CLI maps to an exit code;
 a rule set that comes back round-trips through JSON, is byte-identical on
 a rerun and predicts valid classes only. Through the CLI, `train` and then
-`extract` exit with a mapped code, print no traceback and warn nothing."""
+`extract` exit with a mapped code, print no traceback and warn nothing, and
+so do `evaluate` and `feature-usage` on rule files that may not fit their
+data."""
 import contextlib
 import io
 import json
@@ -108,4 +110,37 @@ def test_cli_train_then_extract_exit_with_a_mapped_code(
                                        "--mu", str(mu), "--rule-cap", str(rule_cap),
                                        "--out", str(Path(tmp) / "r.json")]))
     assert codes[0] in {0, 2, 3} and codes[-1] in allowed
+    assert "Traceback" not in stderr.getvalue()
+
+
+@settings(max_examples=80, deadline=None)
+@given(data_=st.data(), width=st.integers(1, 4))
+def test_cli_read_side_commands_exit_with_a_mapped_code(data_, width):
+    term = st.fixed_dictionaries({
+        "feature": st.integers(-3, width + 3),
+        "op": st.sampled_from([rules.OP_GT, rules.OP_LE]),
+        "threshold": st.floats(-2.0, 2.0),
+    })
+    rule = st.fixed_dictionaries({
+        "terms": st.lists(term, max_size=3),
+        "conclusion": st.integers(0, 1),
+        "confidence": st.floats(0.05, 1.0),
+    })
+    payload = {
+        "version": rules.SCHEMA_VERSION, "num_classes": 2, "default_label": 0,
+        "feature_names": data_.draw(st.none() | st.lists(st.sampled_from("abcdef"), max_size=6)),
+        "rules": data_.draw(st.lists(rule, max_size=4)),
+    }
+    X = np.random.default_rng(width).uniform(-1.0, 1.0, size=(6, width))
+    with tempfile.TemporaryDirectory() as tmp:
+        rules_path, csv_path = Path(tmp) / "r.json", Path(tmp) / "d.csv"
+        rules_path.write_text(json.dumps(payload))
+        lines = [",".join([*(f"x{i}" for i in range(width)), "label"])]
+        lines += [",".join([*map(repr, row), label]) for row, label in zip(X.tolist(), "pqpqpq")]
+        csv_path.write_text("\n".join(lines) + "\n")
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            codes = [cli.main(["evaluate", "--rules", str(rules_path), "--data", str(csv_path)]),
+                     cli.main(["feature-usage", "--rules", str(rules_path)])]
+    assert set(codes) <= {0, 2, 3}
     assert "Traceback" not in stderr.getvalue()

@@ -252,12 +252,12 @@ class TestMemory:
         assert traced_peak(lambda: extract.eclaire(xor_preset_net, X, cfg)) <= prepare
 
 
-def blobs_net_and_data(seed=0):
+def blobs_net_and_data(seed=0, hidden=(5, 4)):
     rng = np.random.default_rng(seed)
     X = np.vstack([rng.normal(0, 0.4, (80, 2)), rng.normal(3, 0.4, (80, 2))])
     y = np.array([0] * 80 + [1] * 80)
     ds = data.Dataset(X, y, ("a", "b"), ("neg", "pos"))
-    net = mlp.train(ds, [5, 4], "tanh", mlp.TrainConfig(epochs=60, batch_size=16, seed=seed))
+    net = mlp.train(ds, list(hidden), "tanh", mlp.TrainConfig(epochs=60, batch_size=16, seed=seed))
     return net, ds
 
 
@@ -277,6 +277,16 @@ class TestTermwiseBaselines:
         extract.remd(net, ds.features, cfg, stats=stats_remd)
         extract.deepred_star(net, ds.features, cfg, stats=stats_deepred)
         assert stats_deepred["peak_live_rules"] > stats_remd["peak_live_rules"]
+
+    def test_one_hidden_layer_holds_the_same_live_rules(self):
+        # with one hidden layer there is no earlier set for deepred_star to
+        # retain, so both strategies hold the same rules at every step
+        net, ds = blobs_net_and_data(seed=3, hidden=(5,))
+        cfg = extract.ExtractionConfig(min_samples=3)
+        stats_remd, stats_deepred = {}, {}
+        extract.remd(net, ds.features, cfg, stats=stats_remd)
+        extract.deepred_star(net, ds.features, cfg, stats=stats_deepred)
+        assert stats_deepred["peak_live_rules"] == stats_remd["peak_live_rules"]
 
     @pytest.mark.parametrize("method", [extract.remd, extract.deepred_star])
     def test_output_is_already_canonical(self, method):

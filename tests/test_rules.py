@@ -335,6 +335,16 @@ class TestSerialization:
         with pytest.raises(rules.RuleSetError):
             rules.deserialize(p)
 
+    @pytest.mark.parametrize("feature, names", [(-1, None), (-2, ["a", "b"]), (2, ["a", "b"])])
+    def test_feature_index_outside_the_columns_rejected(self, feature, names):
+        payload = {
+            "version": 1, "num_classes": 2, "default_label": 0, "feature_names": names,
+            "rules": [{"terms": [{"feature": feature, "op": ">", "threshold": 1.0}],
+                       "conclusion": 1, "confidence": 0.5}],
+        }
+        with pytest.raises(rules.RuleSetError, match=f"feature index {feature} out of range"):
+            rules.from_json(payload)
+
     def test_bad_version_rejected(self, tmp_path):
         p = tmp_path / "v9.json"
         p.write_text('{"version": 9, "rules": []}')

@@ -1,0 +1,128 @@
+"""Fingerprint nnrex's deterministic outputs, one ``<case> <sha256>`` line each.
+
+Run it on two checkouts and diff the two listings: a change that should
+leave behaviour alone must leave every line as it was.
+
+    python tools/fingerprint.py > after.txt
+
+It imports nnrex from the ``src/`` beside it, so a copy of this file placed
+in another checkout fingerprints that checkout. The cases:
+
+* ``kfold.k<k>``: ``data.stratified_kfold`` folds, or its error message,
+  over a fixed grid of row counts, class counts and seeds.
+* ``gen_xor.*`` and ``load_csv.*``: the bytes ``nnrex gen-xor`` writes, and
+  what ``data.load_csv`` reads back from them.
+* ``rules.<activation>.<config>.<method>``: ``rules.to_json`` of every
+  method on seeded untrained nets under five extraction configs. A term-wise
+  line also gives ``peak_live_rules``, or the guard's layer and count when it
+  fires.
+
+Uses the standard library and numpy only, and runs in well under a minute.
+"""
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from nnrex import cli, data, extract, mlp, rules  # noqa: E402
+
+CONFIGS = {
+    "default": extract.ExtractionConfig(),
+    "sample0.6": extract.ExtractionConfig(sample_fraction=0.6),
+    "drop30": extract.ExtractionConfig(rule_drop_pct=30.0),
+    "weighted": extract.ExtractionConfig(class_weighted=True, winnow=False),
+    "stride2": extract.ExtractionConfig(layer_stride=2, include_input_layer=True),
+}
+RULE_CAP = 20_000
+
+
+def digest(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part if isinstance(part, bytes) else repr(part).encode())
+    return h.hexdigest()
+
+
+def random_net(sizes, activation, seed) -> mlp.Mlp:
+    """An untrained net with seeded weights (the test suite's recipe)."""
+    rng = np.random.default_rng(seed)
+    layers = []
+    for k in range(len(sizes) - 1):
+        W = rng.normal(0.0, 1.0 / np.sqrt(sizes[k]), size=(sizes[k + 1], sizes[k]))
+        b = rng.normal(0.0, 0.1, size=sizes[k + 1])
+        kind = "softmax" if k == len(sizes) - 2 else activation
+        layers.append(mlp.Layer(W, b, kind))
+    return mlp.Mlp(tuple(layers))
+
+
+def folds():
+    for k in (2, 3, 4, 5, 7):
+        outcomes = []
+        for n in (6, 7, 31, 60, 301):
+            for classes in (2, 3, 5):
+                for seed in (0, 1):
+                    labels = np.random.default_rng(n * 10 + classes).integers(0, classes, n)
+                    ds = data.Dataset(np.zeros((n, 1)), labels, ("a",),
+                                      tuple(f"c{i}" for i in range(classes)))
+                    try:
+                        split = data.stratified_kfold(ds, k, seed)
+                        outcomes.append([(f.train_indices, f.test_indices) for f in split])
+                    except data.DataError as exc:
+                        outcomes.append(str(exc))
+        yield f"kfold.k{k}", digest(outcomes)
+
+
+def csv_files():
+    with tempfile.TemporaryDirectory() as tmp:
+        for n, dims in ((600, 10), (50, 3)):
+            for seed in range(5):
+                path = Path(tmp) / "xor.csv"
+                with contextlib.redirect_stdout(io.StringIO()):
+                    cli.main(["gen-xor", "--n", str(n), "--dims", str(dims),
+                              "--seed", str(seed), "--out", str(path)])
+                case = f"n{n}.d{dims}.s{seed}"
+                yield f"gen_xor.{case}", digest(path.read_bytes())
+                ds = data.load_csv(path, "label")
+                yield f"load_csv.{case}", digest(ds.features.tobytes(), ds.labels.tobytes(),
+                                                 ds.feature_names, ds.class_names)
+
+
+def rule_sets():
+    # normal inputs, which these nets split into two classes of similar size
+    X = np.random.default_rng(3).normal(0.0, 1.0, size=(100, 4))
+    ds = data.Dataset(X, (X[:, 0] * X[:, 1] > 0).astype(int), ("a", "b", "c", "d"), ("neg", "pos"))
+    for activation in ("tanh", "relu", "elu"):
+        net = random_net([4, 8, 4, 2], activation, seed=3)
+        for name, cfg in CONFIGS.items():
+            for method in extract.METHOD_NAMES:
+                case = f"rules.{activation}.{name}.{method}"
+                if method not in ("remd", "deepred_star"):
+                    rs = extract.run_method(method, ds.features, ds.labels, net, cfg,
+                                            feature_names=ds.feature_names, num_classes=ds.num_classes)
+                    yield case, digest(rules.to_json(rs).encode())
+                    continue
+                stats: dict = {}
+                try:
+                    rs = getattr(extract, method)(net, ds.features, cfg, ds.feature_names, RULE_CAP, stats)
+                except extract.ExplosionGuard as exc:
+                    yield case, f"guard layer={exc.layer} count={exc.rule_count}"
+                else:
+                    yield case, f"{digest(rules.to_json(rs).encode())} peak_live_rules={stats['peak_live_rules']}"
+
+
+def main() -> None:
+    for source in (folds, csv_files, rule_sets):
+        for case, line in source():
+            print(case, line, flush=True)
+
+
+if __name__ == "__main__":
+    main()
