@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -103,6 +104,10 @@ def cmd_extract(args) -> int:
 def cmd_evaluate(args) -> int:
     ds = data.load_csv(args.data, args.label_column)
     rs = rules.deserialize(args.rules)
+    if rs.feature_names is not None and rs.feature_names != ds.feature_names:
+        pairs = itertools.zip_longest(rs.feature_names, ds.feature_names, fillvalue="no name")
+        i, (ours, theirs) = next((i, p) for i, p in enumerate(pairs) if p[0] != p[1])
+        raise rules.RuleSetError(f"{args.rules}: feature {i} is {ours!r} there but {theirs!r} in {args.data}")
     width = 1 + max((t.feature for r in rs.rules for t in r.premise), default=-1)
     if width > ds.num_features:
         raise rules.RuleSetError(f"{args.rules}: feature index {width - 1} out of range for {args.data}")

@@ -22,6 +22,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+# numpy would load this on first use, and a traced extraction count its 1 MB
+import numpy.random  # noqa: F401
 
 from .data import class_weights_from_labels, stratified_sample_indices
 from .mlp import Mlp, layer_outputs
@@ -171,6 +173,15 @@ def substitute_clause(
     return substituted
 
 
+def _substitute_all(rules_and_truths, X: SortedColumns, min_samples: int, class_weighted: bool,
+                    winnow: bool) -> list[Rule]:
+    out: list[Rule] = []
+    for rule, truth in rules_and_truths:
+        weights = class_weights_from_labels(truth.astype(int), 2) if class_weighted else None
+        out.extend(substitute_clause(rule, X, truth, min_samples, weights, winnow))
+    return out
+
+
 def clausewise_substitute(
     intermediate_rules,
     H: np.ndarray,
@@ -184,12 +195,8 @@ def clausewise_substitute(
     substitution, so the output size is the sum of TRUE-premise counts.
     The columns of X are sorted once for all substitution trees."""
     X = sort_columns(X)
-    out: list[Rule] = []
-    for rule in intermediate_rules:
-        truth = premise_mask(rule.premise, H)
-        weights = class_weights_from_labels(truth.astype(int), 2) if class_weighted else None
-        out.extend(substitute_clause(rule, X, truth, min_samples, weights, winnow))
-    return out
+    rules_and_truths = ((rule, premise_mask(rule.premise, H)) for rule in intermediate_rules)
+    return _substitute_all(rules_and_truths, X, min_samples, class_weighted, winnow)
 
 
 def _selected_layers(net: Mlp, cfg: ExtractionConfig) -> list[int]:
@@ -203,15 +210,20 @@ def _selected_layers(net: Mlp, cfg: ExtractionConfig) -> list[int]:
 
 def _clausewise_layers(net: Mlp, prep: _Prepared, cfg: ExtractionConfig) -> list[tuple[int, list[Rule]]]:
     out = []
+    cols = prep.X
     for layer in _selected_layers(net, cfg):
-        # nothing reads a layer's activations after its substitution, so they
-        # leave prep here and are freed with H: the trees of later layers then
-        # run beside less than the forward pass held
+        # nothing reads a layer's activations after its premise truths, so
+        # they leave prep here and are freed before the substitution trees,
+        # which then run beside less than the forward pass held, and beside
+        # X's column sort, made once for every layer
         H, prep.layers[layer] = prep.layers[layer], None
         tree = induce(H, prep.labels, cfg.min_samples, prep.label_weights, cfg.winnow, net.num_classes)
-        intermediate = drop_low_confidence(to_ruleset(tree, prep.default), cfg.rule_drop_pct)
-        out.append((layer, clausewise_substitute(
-            intermediate.rules, H, prep.X, cfg.min_samples, cfg.class_weighted, cfg.winnow
+        intermediate = drop_low_confidence(to_ruleset(tree, prep.default), cfg.rule_drop_pct).rules
+        truths = [premise_mask(rule.premise, H) for rule in intermediate]
+        del H
+        cols = sort_columns(cols)
+        out.append((layer, _substitute_all(
+            zip(intermediate, truths), cols, cfg.min_samples, cfg.class_weighted, cfg.winnow
         )))
     return out
 

@@ -26,6 +26,11 @@ per node and block instead, so a tree over a wide hidden layer never holds
 a sort of all its columns. A block holds at most ``BLOCK_COLUMNS`` columns
 of the input's full height, so the scan's memory grows with the input but
 stays a few columns' worth.
+
+The root of a two-class, unit-weight tree over presorted rows is scanned
+sparsely (SPRINT-style, Shafer et al. 1996) from its minority class's value
+groups, in one block of all columns for winnowing and the root split when
+the class is small, with the dense scan's gains bit for bit.
 """
 from __future__ import annotations
 
@@ -153,10 +158,13 @@ BLOCK_COLUMNS = 3
 @dataclass(frozen=True)
 class SortedColumns:
     """Induction rows with each column's stable ascending row order, sorted
-    once and shared by every tree induced from the same rows."""
+    once and shared by every tree induced from the same rows, and each row's
+    value group: the span of that order holding the row's value."""
 
     X: np.ndarray
-    order: np.ndarray  # order[f] is the stable argsort of X[:, f]
+    order: np.ndarray  # int32 (columns, rows): order[f] is the stable argsort of X[:, f]
+    start: np.ndarray  # int32 (columns, rows): where row r's group starts in order[f]
+    end: np.ndarray  # int32 (columns, rows): one past where it ends
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -178,7 +186,18 @@ def sort_columns(X) -> SortedColumns:
     if isinstance(X, SortedColumns):
         return X
     X = _finite_rows(X)
-    return SortedColumns(X, np.argsort(X.T, axis=1, kind="stable"))
+    n, m = X.shape
+    order, start, end = (np.empty((m, n), dtype=np.int32) for _ in range(3))
+    for f in range(m):
+        # column by column, so the int64 argsort is one column's size
+        o = np.argsort(X[:, f], kind="stable")
+        new_value = np.append(True, X[o[1:], f] != X[o[:-1], f])
+        bounds = np.append(np.flatnonzero(new_value), n)
+        group = np.cumsum(new_value) - 1
+        order[f] = o
+        start[f, o] = bounds[group]
+        end[f, o] = bounds[group + 1]
+    return SortedColumns(X, order, start, end)
 
 
 @dataclass(frozen=True)
@@ -186,29 +205,30 @@ class _Sample:
     """What every node scan of one tree reads."""
 
     X: np.ndarray
-    order: np.ndarray | None  # column orders when the rows were presorted
+    cols: SortedColumns | None  # when the rows were presorted
     y: np.ndarray
     w: np.ndarray
     num_classes: int
+    sparse_root: bool  # presorted, two classes and unit weights: see _sparse_root_gains
 
     def blocks(self, n: int, features: np.ndarray) -> list[np.ndarray]:
-        """``features`` in blocks of at most BLOCK_COLUMNS x len(X) cells at
-        a node of ``n`` rows."""
+        """``features`` in blocks of at most BLOCK_COLUMNS x len(X) cells,
+        ``n`` cells per column."""
         width = max(1, BLOCK_COLUMNS * len(self.X) // n)
         return [features[i:i + width] for i in range(0, len(features), width)]
 
     def sorted_rows(self, idx: np.ndarray, block: np.ndarray) -> np.ndarray:
         """The node's rows (``idx``, ascending) in each block column's stable
         value order, one column per row of the result."""
-        if self.order is None:
+        if self.cols is None:
             return idx[np.argsort(self.X[idx[:, None], block].T, axis=1, kind="stable")]
         if len(idx) == len(self.X):
-            return self.order[block]
+            return self.cols.order[block]
         member = np.zeros(len(self.X), dtype=bool)
         member[idx] = True
         rows = np.empty((len(block), len(idx)), dtype=np.intp)
         for j, f in enumerate(block):
-            o = self.order[f]
+            o = self.cols.order[f]
             rows[j] = o[member[o]]
         return rows
 
@@ -218,18 +238,19 @@ class _CutGains:
     """The candidate cuts of a block of features at one node, in (column,
     position) order, with their information gains."""
 
-    xs: np.ndarray  # (columns, rows) node values, each row sorted
-    cuts: np.ndarray  # flat position in xs of each candidate's last left row
+    n: int  # rows at the node
     col: np.ndarray  # block column of each candidate
+    pos: np.ndarray  # position of each candidate's last left row in its column's sorted node rows
     n_candidates: np.ndarray  # per block column
     gains: np.ndarray
     sizes: np.ndarray  # (2, candidates) class-weighted size of the left and right sides
     total: np.ndarray
 
 
-def _cut_gains(s: _Sample, idx: np.ndarray, block: np.ndarray, parent_entropy: float) -> _CutGains:
+def _cut_gains(s: _Sample, idx: np.ndarray, block: np.ndarray,
+               parent_entropy: float) -> tuple[_CutGains, np.ndarray]:
     """Information gain of every candidate cut of the block's features at
-    the node of rows ``idx``.
+    the node of rows ``idx``, with the node's values sorted per column.
 
     Candidates sit between adjacent distinct values whose sample groups are
     not pure in the same class; gains are evaluated only there. Each
@@ -263,7 +284,6 @@ def _cut_gains(s: _Sample, idx: np.ndarray, block: np.ndarray, parent_entropy: f
     cuts = starts[1:][keep] - 1
     del starts, keep
     col = cuts // n
-    n_candidates = np.bincount(col, minlength=b)
 
     # per-class cumulative weight along each column: sides[c, 0] holds the
     # left side of each candidate, sides[c, 1] the right
@@ -281,27 +301,65 @@ def _cut_gains(s: _Sample, idx: np.ndarray, block: np.ndarray, parent_entropy: f
     sizes, (h_left, h_right) = _weight_and_entropy(sides)
     del sides
     gains = parent_entropy - (sizes[0] * h_left + sizes[1] * h_right) / total
-    return _CutGains(xs, cuts, col, n_candidates, gains, sizes, total)
+    np.remainder(cuts, n, out=cuts)
+    return _CutGains(n, col, cuts, np.bincount(col, minlength=b), gains, sizes, total), xs
 
 
-def _best_split(s: _Sample, idx: np.ndarray, block: np.ndarray, parent_entropy: float):
-    """The block's best split at one node as (gain ratio, block column,
-    threshold), or None. Only cuts with positive gain corrected by
-    log2(T)/N for a feature's T candidates are eligible; the first maximum
-    in (column, position) order wins, so ties go to the lowest feature and
-    then the lowest threshold."""
-    g = _cut_gains(s, idx, block, parent_entropy)
-    n = g.xs.shape[1]
-    adjusted = g.gains - np.log2(g.n_candidates[g.col]) / n
+def _sparse_root_gains(s: _Sample, rows: np.ndarray, block: np.ndarray, parent_entropy: float) -> _CutGains:
+    """:func:`_cut_gains` at the root of a two-class, unit-weight tree over
+    presorted rows, from the value groups of ``rows``, all rows of one class.
+    Two adjacent groups without such a row are pure in the same class, so
+    every candidate is a bound of a group holding one. Counts are exact
+    integers, so the gains are the dense scan's floats."""
+    n, p, b = len(s.X), len(rows), len(block)
+    # the groups holding one of the rows, ordered per column (disjoint spans
+    # in start order are in end order too), at the first of their rows
+    starts = np.sort(s.cols.start[block[:, None], rows], axis=1).ravel()
+    ends = np.sort(s.cols.end[block[:, None], rows], axis=1).ravel()
+    at = np.flatnonzero(np.append(True, starts[1:] != starts[:-1]) | (np.arange(b * p) % p == 0))
+    col = at // p
+    lo, hi = starts[at], ends[at]
+    del starts, ends
+    before = at - col * p  # the class's rows in earlier groups of the column
+    inside = np.diff(np.append(at, b * p))
+    full = inside == hi - lo
+    # a bound shared by two such groups is one candidate, or none when both
+    # groups hold only the class: they are then pure in the same class
+    shared = (col[1:] == col[:-1]) & (hi[:-1] == lo[1:])
+    keep = np.stack([lo > 0, hi < n], axis=1)
+    keep[1:, 0] &= ~shared
+    keep[:-1, 1] &= ~(shared & full[:-1] & full[1:])
+    keep = keep.ravel()
+    t = np.stack([lo, hi], axis=1).ravel()[keep]  # rows left of each cut
+    left = np.stack([before, before + inside], axis=1).ravel()[keep]
+    col = np.repeat(col, 2)[keep]
+    del lo, hi, before, inside, full, shared, keep
+
+    # the rows' class, then the other: entropies do not depend on the order
+    sides = np.empty((2, 2, t.size))
+    sides[0] = left, p - left
+    sides[1] = t - left, (n - p) - (t - left)
+    del left
+    t -= 1  # the position of each cut's last left row
+    sizes, (h_left, h_right) = _weight_and_entropy(sides)
+    del sides
+    total = np.full(t.size, float(n))
+    gains = parent_entropy - (sizes[0] * h_left + sizes[1] * h_right) / total
+    return _CutGains(n, col, t, np.bincount(col, minlength=b), gains, sizes, total)
+
+
+def _ratios(g: _CutGains) -> np.ndarray:
+    """Gain ratio of every candidate, -inf where it is not eligible: only
+    cuts with positive gain corrected by log2(T)/N for a feature's T
+    candidates are."""
+    adjusted = g.gains - np.log2(g.n_candidates[g.col]) / g.n
     xlogx = _xlogx(g.sizes)
     split_info = np.log2(g.total) - (xlogx[0] + xlogx[1]) / g.total
     valid = (adjusted > GAIN_EPS) & (split_info > GAIN_EPS) & (g.sizes > 0).all(axis=0)
-    if not valid.any():
-        return None
-    ratios = np.where(valid, adjusted / np.maximum(split_info, 1e-300), -np.inf)
-    i = int(np.argmax(ratios))
-    j, p = divmod(int(g.cuts[i]), n)
-    lo, hi = g.xs[j, p], g.xs[j, p + 1]
+    return np.where(valid, adjusted / np.maximum(split_info, 1e-300), -np.inf)
+
+
+def _threshold(lo: float, hi: float) -> float:
     with np.errstate(over="ignore"):
         threshold = (lo + hi) / 2.0
     if not lo <= threshold < hi:
@@ -309,15 +367,71 @@ def _best_split(s: _Sample, idx: np.ndarray, block: np.ndarray, parent_entropy: 
         # or overflowed to +-inf; fall back to the lower observed value so
         # the split still separates
         threshold = lo
-    return float(ratios[i]), j, float(threshold)
+    return float(threshold)
+
+
+def _winnowed(g: _CutGains, parent_entropy: float) -> np.ndarray:
+    """Per block column, whether its best raw gain clears the noise floor."""
+    has = g.n_candidates > 0
+    best_raw_gain = np.full(len(has), -np.inf)
+    best_raw_gain[has] = np.maximum.reduceat(g.gains, (np.cumsum(g.n_candidates) - g.n_candidates)[has])
+    floor = np.minimum(
+        np.maximum(
+            WINNOW_ENTROPY_FRACTION * parent_entropy,
+            WINNOW_NOISE_MULTIPLIER * np.log2(g.n_candidates + 1) / g.n,
+        ),
+        WINNOW_ENTROPY_CAP * parent_entropy,
+    )
+    return has & (best_raw_gain > floor)
+
+
+def _node_split(s: _Sample, idx: np.ndarray, allowed: np.ndarray, parent_entropy: float):
+    """The node's best split over the allowed features as (feature,
+    threshold), or None: the first maximum gain ratio in (feature, position)
+    order, so ties go to the lowest feature, then the lowest threshold."""
+    best_ratio, split = -np.inf, None
+    for block in s.blocks(len(idx), allowed):
+        g, xs = _cut_gains(s, idx, block, parent_entropy)
+        ratios = _ratios(g)
+        if ratios.size:
+            i = int(np.argmax(ratios))
+            if ratios[i] > best_ratio:
+                j, p = g.col[i], g.pos[i]
+                best_ratio, split = ratios[i], (int(block[j]), _threshold(xs[j, p], xs[j, p + 1]))
+        del g, xs, ratios  # before the next block's scan
+    return split
+
+
+def _sparse_root(s: _Sample, parent_entropy: float, winnow: bool):
+    """The winnowed features and the root split, as :func:`winnow_features`
+    and :func:`_node_split` give them, from the same sparse scan."""
+    rows = np.flatnonzero(s.y == int(2 * s.y.sum() <= len(s.y)))
+    if not rows.size:
+        return np.zeros(0, dtype=int), None  # one class, whose entropy rounded above 0
+    kept = []
+    best_ratio, split = -np.inf, None
+    for block in s.blocks(2 * len(rows), np.arange(s.X.shape[1])):
+        g = _sparse_root_gains(s, rows, block, parent_entropy)
+        keep = _winnowed(g, parent_entropy) if winnow else np.ones(len(block), dtype=bool)
+        kept.extend(block[keep])
+        ratios = _ratios(g)
+        ratios[~keep[g.col]] = -np.inf
+        if ratios.size:
+            i = int(np.argmax(ratios))
+            if ratios[i] > best_ratio:
+                f, p = int(block[g.col[i]]), g.pos[i]
+                order = s.cols.order[f]
+                best_ratio, split = ratios[i], (f, _threshold(s.X[order[p], f], s.X[order[p + 1], f]))
+        del g, ratios
+    return np.array(kept, dtype=int), split
 
 
 def _sample(X, y, w, num_classes) -> _Sample:
     # the narrowest label type keeps the per-block label copies small
     y = np.asarray(y).astype(np.min_scalar_type(num_classes - 1))
     if isinstance(X, SortedColumns):
-        return _Sample(X.X, X.order, y, w, num_classes)
-    return _Sample(np.atleast_2d(np.asarray(X, dtype=float)), None, y, w, num_classes)
+        return _Sample(X.X, X, y, w, num_classes, num_classes == 2 and bool((w == 1).all()))
+    return _Sample(np.atleast_2d(np.asarray(X, dtype=float)), None, y, w, num_classes, False)
 
 
 def winnow_features(X, y: np.ndarray, w: np.ndarray, num_classes: int) -> np.ndarray:
@@ -329,21 +443,12 @@ def winnow_features(X, y: np.ndarray, w: np.ndarray, num_classes: int) -> np.nda
     features = np.arange(s.X.shape[1])
     if parent_entropy <= 0:
         return features
+    if s.sparse_root:
+        return _sparse_root(s, parent_entropy, True)[0]
     n = len(s.X)
     kept = []
     for block in s.blocks(n, features):
-        g = _cut_gains(s, np.arange(n), block, parent_entropy)
-        has = g.n_candidates > 0
-        best_raw_gain = np.full(len(block), -np.inf)
-        best_raw_gain[has] = np.maximum.reduceat(g.gains, (np.cumsum(g.n_candidates) - g.n_candidates)[has])
-        floor = np.minimum(
-            np.maximum(
-                WINNOW_ENTROPY_FRACTION * parent_entropy,
-                WINNOW_NOISE_MULTIPLIER * np.log2(g.n_candidates + 1) / n,
-            ),
-            WINNOW_ENTROPY_CAP * parent_entropy,
-        )
-        kept.extend(block[has & (best_raw_gain > floor)])
+        kept.extend(block[_winnowed(_cut_gains(s, np.arange(n), block, parent_entropy)[0], parent_entropy)])
     return np.array(kept, dtype=int)
 
 
@@ -379,12 +484,10 @@ def induce(
         w = np.ones(X.shape[0])
     else:
         w = np.asarray(class_weight, dtype=float)[y]
-
-    if winnow:
-        allowed = winnow_features(X if cols is None else cols, y, w, num_classes)
-    else:
-        allowed = np.arange(X.shape[1])
     sample = _sample(X if cols is None else cols, y, w, num_classes)
+    allowed = np.arange(X.shape[1])
+    if winnow and not sample.sparse_root:
+        allowed = winnow_features(X if cols is None else cols, y, w, num_classes)
 
     nodes: list[TreeNode] = []
     # stack entries: (sample indices, parent node id, is_left_child)
@@ -407,12 +510,10 @@ def induce(
 
         split = None
         if len(idx) >= min_samples and parent_entropy > 0:
-            best_ratio = -np.inf
-            for block in sample.blocks(len(idx), allowed):
-                best = _best_split(sample, idx, block, parent_entropy)
-                if best is not None and best[0] > best_ratio:
-                    best_ratio = best[0]
-                    split = (int(block[best[1]]), best[2])
+            if nid == 0 and sample.sparse_root:
+                allowed, split = _sparse_root(sample, parent_entropy, winnow)
+            else:
+                split = _node_split(sample, idx, allowed, parent_entropy)
 
         node = nodes[nid]
         node.n_samples = len(idx)

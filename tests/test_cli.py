@@ -259,6 +259,21 @@ class TestEvaluateCommand:
         assert run(["evaluate", "--rules", rules_path, "--data", str(data_path)]) == 2
         assert "feature index -1 out of range" in capsys.readouterr().err
 
+    def test_rules_over_other_named_features_exit_2(self, tmp_path, capsys):
+        rules_path = one_rule_file(tmp_path, feature=1, names=["height", "width"])
+        data_path = tmp_path / "b.csv"
+        data_path.write_text("x,y,z,label\n0.1,0.9,0.3,0\n0.8,0.2,0.6,1\n")
+        assert run(["evaluate", "--rules", rules_path, "--data", str(data_path)]) == 2
+        assert "feature 0 is 'height' there but 'x'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("names", [None, ["x", "y", "z"]])
+    def test_rules_with_no_or_matching_names_are_scored(self, tmp_path, capsys, names):
+        rules_path = one_rule_file(tmp_path, feature=1, names=names)
+        data_path = tmp_path / "b.csv"
+        data_path.write_text("x,y,z,label\n0.1,0.9,0.3,0\n0.8,0.2,0.6,1\n")
+        assert run(["evaluate", "--rules", rules_path, "--data", str(data_path)]) == 0
+        assert json.loads(capsys.readouterr().out)["accuracy"] == 0.0
+
 
 def one_rule_file(tmp_path, feature, names):
     """A rule file holding the one rule x_feature > 0.5 -> class 1."""

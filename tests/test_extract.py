@@ -1,5 +1,8 @@
 import gc
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -214,8 +217,9 @@ class TestEclaire:
         assert star == flagged
 
     def test_substitution_trees_share_one_column_sort(self, xor_ds, quick_xor_net, monkeypatch):
-        # every substitution tree of a layer gets the same sorted columns,
-        # still through substitute_clause and its induce
+        # every substitution tree of an extraction, over all its layers,
+        # gets the same sorted columns, still through substitute_clause and
+        # its induce
         seen = []
         real = extract.induce
 
@@ -227,7 +231,8 @@ class TestEclaire:
         per_layer = extract.eclaire_layer_rules(quick_xor_net, xor_ds.features[:300])
         shared = [X for X in seen if isinstance(X, tree.SortedColumns)]
         assert len(shared) == len(seen) - len(per_layer)
-        assert len({id(X) for X in shared}) == len(per_layer)
+        assert len(per_layer) > 1
+        assert len({id(X) for X in shared}) == 1
 
 
 def traced_peak(fn):
@@ -250,6 +255,25 @@ class TestMemory:
         extract.eclaire(xor_preset_net, X, cfg)
         prepare = traced_peak(lambda: extract._prepare(xor_preset_net, X, cfg))
         assert traced_peak(lambda: extract.eclaire(xor_preset_net, X, cfg)) <= prepare
+
+    def test_first_subsampled_extraction_peaks_like_the_next(self, xor_ds, xor_folds, xor_preset_net,
+                                                             tmp_path):
+        # in a fresh process, numpy's one-time allocations would inflate the
+        # first measured peak over the next one
+        mlp.save(xor_preset_net, tmp_path / "net.json")
+        np.save(tmp_path / "X.npy", xor_ds.features[list(xor_folds[0].train_indices)])
+        script = f"""
+import sys
+sys.path.insert(0, {str(Path(extract.__file__).parents[1])!r})
+import numpy as np
+from nnrex import evaluation, extract, mlp
+net, X = mlp.load({str(tmp_path / "net.json")!r}), np.load({str(tmp_path / "X.npy")!r})
+cfg = extract.ExtractionConfig(min_samples=2, sample_fraction=0.6)
+print(*(evaluation.measure(lambda: extract.eclaire(net, X, cfg))[2] for _ in range(2)))
+"""
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
+        first, second = map(int, out.stdout.split())
+        assert abs(first - second) <= 4096
 
 
 def blobs_net_and_data(seed=0, hidden=(5, 4)):

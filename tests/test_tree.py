@@ -483,3 +483,76 @@ class TestSplitSearchOracle:
     def test_sort_columns_rejects_non_finite_input(self, bad):
         with pytest.raises(tree.TreeError, match="non-finite"):
             tree.sort_columns(np.array([[0.0], [bad]]))
+
+
+@st.composite
+def sparse_root_cases(draw):
+    """Two-class, unit-weight problems for the sparse root scan: tied
+    integer or rounded columns, adjacent groups that hold only TRUE rows, one
+    TRUE row or one FALSE row, TRUE rows at a column's extremes, constant
+    columns, and enough columns and TRUE rows to need several blocks."""
+    n = draw(st.integers(2, 80))
+    m = draw(st.integers(1, 4 * tree.BLOCK_COLUMNS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        X = rng.integers(0, draw(st.integers(1, 6)), (n, m)).astype(float)
+    else:
+        X = np.round(rng.normal(size=(n, m)), 1)
+    if draw(st.booleans()):
+        X[:, draw(st.integers(0, m - 1))] = draw(FINITE)  # a constant column
+    x = X[:, draw(st.integers(0, m - 1))]
+    kind = draw(st.sampled_from(["random", "half", "one", "all but one", "extremes", "runs"]))
+    if kind == "random":
+        y = rng.random(n) < draw(st.floats(0.05, 0.95))
+    elif kind == "half":
+        y = rng.permutation(n) < n // 2
+    elif kind in ("one", "all but one"):
+        y = np.arange(n) == rng.integers(n)
+        y = ~y if kind == "all but one" else y
+    elif kind == "extremes":
+        y = (x == x.min()) | (x == x.max())
+    else:
+        # TRUE on neighbouring values: adjacent groups of TRUE rows only
+        values = np.unique(x)
+        k = int(rng.integers(len(values)))
+        y = (x >= values[k]) & (x <= values[min(k + 2, len(values) - 1)])
+    if draw(st.booleans()):
+        y = y ^ (rng.random(n) < 0.1)
+    return X, y.astype(int), draw(st.booleans()), draw(st.integers(2, 4))
+
+
+class TestSparseRootScan:
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_root_cases())
+    def test_matches_dense_scan_and_reference(self, case):
+        X, y, winnow, min_samples = case
+        expected = ref_induce(X, y, min_samples, None, winnow, 2)
+        cols = tree.sort_columns(X)
+        assert node_tuples(tree.induce(cols, y, min_samples, None, winnow, 2)) == expected
+        assert node_tuples(tree.induce(X, y, min_samples, None, winnow, 2)) == expected
+        w = np.ones(len(y))
+        kept = ref_winnow(X, y, w, 2)
+        assert np.array_equal(tree.winnow_features(cols, y, w, 2), kept)
+        assert np.array_equal(tree.winnow_features(X, y, w, 2), kept)
+
+    def test_unit_weight_root_makes_no_dense_scan(self, monkeypatch):
+        # the substitution trees' root must not fall back to the dense scan
+        rng = np.random.default_rng(5)
+        X = rng.integers(0, 6, (300, 10)).astype(float)
+        y = ((X[:, 2] > 3) ^ (rng.random(300) < 0.05)).astype(int)
+        scanned = []
+        real = tree._cut_gains
+        monkeypatch.setattr(tree, "_cut_gains", lambda *args: scanned.append(args) or real(*args))
+        # only the root may split at min_samples = rows
+        t = tree.induce(tree.sort_columns(X), y, len(y), num_classes=2)
+        assert t.nodes[t.root].feature == 2
+        assert scanned == []
+        assert node_tuples(tree.induce(X, y, len(y), num_classes=2)) == node_tuples(t)
+        assert scanned
+
+    def test_group_bounds_span_equal_values(self):
+        X = np.array([[1.0, 0.0], [0.0, 0.0], [1.0, -0.0], [0.5, 2.0]])
+        cols = tree.sort_columns(X)
+        assert cols.order.dtype == np.int32
+        assert cols.start.tolist() == [[2, 0, 2, 1], [0, 0, 0, 3]]
+        assert cols.end.tolist() == [[4, 1, 4, 2], [3, 3, 3, 4]]

@@ -16,6 +16,9 @@ in another checkout fingerprints that checkout. The cases:
   method on seeded untrained nets under five extraction configs. A term-wise
   line also gives ``peak_live_rules``, or the guard's layer and count when it
   fires.
+* ``rules.<activation>.tied.<method>``: the same for the clause-wise and
+  tree methods under the default config, on the inputs rounded to one
+  decimal, so that the trees split columns with tied values.
 
 Uses the standard library and numpy only, and runs in well under a minute.
 """
@@ -116,6 +119,11 @@ def rule_sets():
                     yield case, f"guard layer={exc.layer} count={exc.rule_count}"
                 else:
                     yield case, f"{digest(rules.to_json(rs).encode())} peak_live_rules={stats['peak_live_rules']}"
+        tied = np.round(X, 1)
+        for method in ("eclaire", "eclaire_star", "pedc5", "c5"):
+            rs = extract.run_method(method, tied, ds.labels, net, feature_names=ds.feature_names,
+                                    num_classes=ds.num_classes)
+            yield f"rules.{activation}.tied.{method}", digest(rules.to_json(rs).encode())
 
 
 def main() -> None:
