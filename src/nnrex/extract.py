@@ -103,6 +103,8 @@ def _labelled(X: np.ndarray, labels: np.ndarray, cfg: ExtractionConfig, num_clas
     if cfg.sample_fraction < 1.0:
         rng = np.random.default_rng(cfg.seed)
         idx = stratified_sample_indices(labels, cfg.sample_fraction, rng)
+        if not idx.size:
+            raise ExtractError(f"sample_fraction {cfg.sample_fraction} keeps none of the {len(labels)} rows")
         X, labels = X[idx], labels[idx]
     weights = class_weights_from_labels(labels, num_classes) if cfg.class_weighted else None
     return X, labels, int(np.argmax(np.bincount(labels, minlength=num_classes))), weights

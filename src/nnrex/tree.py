@@ -9,8 +9,8 @@ inducer from chasing sampling noise:
 * the information gain of each candidate is corrected by log2(T)/N for the
   T candidate thresholds the feature offers at that node, and only splits
   with positive corrected gain are eligible;
-* an optional winnowing pre-pass (on by default) drops features whose best
-  standalone root gain is indistinguishable from the zero-gain noise floor.
+* optional winnowing (on by default) drops features whose best standalone
+  root gain is indistinguishable from the zero-gain noise floor.
 
 The tree is fully deterministic: gain-ratio ties go to the lowest feature
 index, then the lowest threshold.
@@ -27,10 +27,13 @@ a sort of all its columns. A block holds at most ``BLOCK_COLUMNS`` columns
 of the input's full height, so the scan's memory grows with the input but
 stays a few columns' worth.
 
-The root of a two-class, unit-weight tree over presorted rows is scanned
-sparsely (SPRINT-style, Shafer et al. 1996) from its minority class's value
-groups, in one block of all columns for winnowing and the root split when
-the class is small, with the dense scan's gains bit for bit.
+Every node is scanned once, and a node that holds one class becomes a leaf
+without a scan. At the root, the same gains give both the winnowing
+decision and the split, and the inner nodes scan only the features the
+root kept. The root of a two-class, unit-weight tree over presorted rows is
+scanned sparsely (SPRINT-style, Shafer et al. 1996) from its minority
+class's value groups, in one block of all columns when the class is small,
+with the dense scan's gains bit for bit.
 """
 from __future__ import annotations
 
@@ -209,7 +212,7 @@ class _Sample:
     y: np.ndarray
     w: np.ndarray
     num_classes: int
-    sparse_root: bool  # presorted, two classes and unit weights: see _sparse_root_gains
+    sparse_root: bool  # presorted, unit weights and both of two classes: see _sparse_root_gains
 
     def blocks(self, n: int, features: np.ndarray) -> list[np.ndarray]:
         """``features`` in blocks of at most BLOCK_COLUMNS x len(X) cells,
@@ -385,52 +388,42 @@ def _winnowed(g: _CutGains, parent_entropy: float) -> np.ndarray:
     return has & (best_raw_gain > floor)
 
 
-def _node_split(s: _Sample, idx: np.ndarray, allowed: np.ndarray, parent_entropy: float):
-    """The node's best split over the allowed features as (feature,
-    threshold), or None: the first maximum gain ratio in (feature, position)
-    order, so ties go to the lowest feature, then the lowest threshold."""
-    best_ratio, split = -np.inf, None
-    for block in s.blocks(len(idx), allowed):
-        g, xs = _cut_gains(s, idx, block, parent_entropy)
-        ratios = _ratios(g)
-        if ratios.size:
-            i = int(np.argmax(ratios))
-            if ratios[i] > best_ratio:
-                j, p = g.col[i], g.pos[i]
-                best_ratio, split = ratios[i], (int(block[j]), _threshold(xs[j, p], xs[j, p + 1]))
-        del g, xs, ratios  # before the next block's scan
-    return split
-
-
-def _sparse_root(s: _Sample, parent_entropy: float, winnow: bool):
-    """The winnowed features and the root split, as :func:`winnow_features`
-    and :func:`_node_split` give them, from the same sparse scan."""
-    rows = np.flatnonzero(s.y == int(2 * s.y.sum() <= len(s.y)))
-    if not rows.size:
-        return np.zeros(0, dtype=int), None  # one class, whose entropy rounded above 0
-    kept = []
-    best_ratio, split = -np.inf, None
-    for block in s.blocks(2 * len(rows), np.arange(s.X.shape[1])):
-        g = _sparse_root_gains(s, rows, block, parent_entropy)
+def _scan(s: _Sample, idx: np.ndarray, features: np.ndarray, parent_entropy: float, winnow: bool):
+    """One scan of the node of rows ``idx`` over ``features``, block by
+    block: the features that clear the winnow noise floor (all of them when
+    ``winnow`` is false) and the best split over those as (feature,
+    threshold), or None. The split is the first maximum gain ratio in
+    (feature, position) order, so ties go to the lowest feature, then the
+    lowest threshold. The root of a two-class, unit-weight tree over
+    presorted rows is scanned sparsely, from its minority class's rows."""
+    sparse = s.sparse_root and len(idx) == len(s.X)
+    rows = np.flatnonzero(s.y == int(2 * s.y.sum() <= len(s.y))) if sparse else idx
+    kept, best_ratio, split = features[:0], -np.inf, None
+    for block in s.blocks(2 * len(rows) if sparse else len(idx), features):
+        if sparse:
+            g, xs = _sparse_root_gains(s, rows, block, parent_entropy), None
+        else:
+            g, xs = _cut_gains(s, idx, block, parent_entropy)
         keep = _winnowed(g, parent_entropy) if winnow else np.ones(len(block), dtype=bool)
-        kept.extend(block[keep])
+        kept = np.append(kept, block[keep])
         ratios = _ratios(g)
         ratios[~keep[g.col]] = -np.inf
         if ratios.size:
             i = int(np.argmax(ratios))
             if ratios[i] > best_ratio:
                 f, p = int(block[g.col[i]]), g.pos[i]
-                order = s.cols.order[f]
-                best_ratio, split = ratios[i], (f, _threshold(s.X[order[p], f], s.X[order[p + 1], f]))
-        del g, ratios
-    return np.array(kept, dtype=int), split
+                lo, hi = s.X[s.cols.order[f, p:p + 2], f] if xs is None else xs[g.col[i], p:p + 2]
+                best_ratio, split = ratios[i], (f, _threshold(lo, hi))
+        del g, xs, ratios  # before the next block's scan
+    return kept, split
 
 
 def _sample(X, y, w, num_classes) -> _Sample:
     # the narrowest label type keeps the per-block label copies small
     y = np.asarray(y).astype(np.min_scalar_type(num_classes - 1))
     if isinstance(X, SortedColumns):
-        return _Sample(X.X, X, y, w, num_classes, num_classes == 2 and bool((w == 1).all()))
+        sparse = num_classes == 2 and bool((w == 1).all()) and 0 < y.sum() < len(y)
+        return _Sample(X.X, X, y, w, num_classes, sparse)
     return _Sample(np.atleast_2d(np.asarray(X, dtype=float)), None, y, w, num_classes, False)
 
 
@@ -443,13 +436,7 @@ def winnow_features(X, y: np.ndarray, w: np.ndarray, num_classes: int) -> np.nda
     features = np.arange(s.X.shape[1])
     if parent_entropy <= 0:
         return features
-    if s.sparse_root:
-        return _sparse_root(s, parent_entropy, True)[0]
-    n = len(s.X)
-    kept = []
-    for block in s.blocks(n, features):
-        kept.extend(block[_winnowed(_cut_gains(s, np.arange(n), block, parent_entropy)[0], parent_entropy)])
-    return np.array(kept, dtype=int)
+    return _scan(s, np.arange(len(s.X)), features, parent_entropy, True)[0]
 
 
 def induce(
@@ -462,6 +449,8 @@ def induce(
 ) -> DecisionTree:
     """Grow a binary tree top-down until nodes are pure, smaller than
     ``min_samples``, or offer no split with positive corrected gain.
+    With ``winnow``, the root's own split scan also winnows the features,
+    and its children only scan the features it kept.
 
     ``X`` is an array or the :class:`SortedColumns` of one, which trees
     induced from the same rows share. ``class_weight`` multiplies
@@ -485,9 +474,7 @@ def induce(
     else:
         w = np.asarray(class_weight, dtype=float)[y]
     sample = _sample(X if cols is None else cols, y, w, num_classes)
-    allowed = np.arange(X.shape[1])
-    if winnow and not sample.sparse_root:
-        allowed = winnow_features(X if cols is None else cols, y, w, num_classes)
+    allowed = np.arange(X.shape[1])  # narrowed by the root's winnowing
 
     nodes: list[TreeNode] = []
     # stack entries: (sample indices, parent node id, is_left_child)
@@ -506,14 +493,10 @@ def induce(
         ws = w[idx]
         hist = np.bincount(ys, minlength=num_classes).astype(float)
         whist = np.bincount(ys, weights=ws, minlength=num_classes)
-        parent_entropy = _entropy(whist)
 
         split = None
-        if len(idx) >= min_samples and parent_entropy > 0:
-            if nid == 0 and sample.sparse_root:
-                allowed, split = _sparse_root(sample, parent_entropy, winnow)
-            else:
-                split = _node_split(sample, idx, allowed, parent_entropy)
+        if len(idx) >= min_samples and np.count_nonzero(whist) > 1:
+            allowed, split = _scan(sample, idx, allowed, _entropy(whist), winnow and nid == 0)
 
         node = nodes[nid]
         node.n_samples = len(idx)

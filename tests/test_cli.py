@@ -186,6 +186,16 @@ class TestExtractCommand:
         ])
         assert code == 4
 
+    @pytest.mark.parametrize("method", ["c5", "pedc5", "eclaire", "remd"])
+    def test_subsample_of_no_rows_exits_2(self, small_csv, small_weights, tmp_path, capsys, method):
+        out = tmp_path / "r.json"
+        capsys.readouterr()
+        code = run(["extract", "--data", small_csv, "--weights", small_weights, "--method", method,
+                    "--sample-fraction", "0.001", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2 and not out.exists()
+        assert "sample_fraction 0.001 keeps none of the 120 rows" in err and "Traceback" not in err
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_network_exits_2(self, small_csv, tmp_path, capsys):
         # finite features at the float limit overflow a relu layer to inf

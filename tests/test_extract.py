@@ -411,6 +411,14 @@ class TestRunMethod:
         extract.run_method(method, ds.features, net=net, cfg=extract.ExtractionConfig(min_samples=5))
         assert passes == [ds.num_samples]
 
+    @pytest.mark.parametrize("method", extract.METHOD_NAMES)
+    def test_subsample_of_no_rows_rejected(self, method):
+        # 80 rows per class, of which a fraction of 0.001 keeps none
+        net, ds = blobs_net_and_data()
+        cfg = extract.ExtractionConfig(min_samples=5, sample_fraction=0.001)
+        with pytest.raises(extract.ExtractError, match="sample_fraction 0.001 keeps none of the 160 rows"):
+            extract.run_method(method, ds.features, ds.labels, net, cfg)
+
     def test_bad_sample_fraction_rejected(self):
         for fraction in (0.0, -0.5, 1.5):
             with pytest.raises(extract.ExtractError, match="sample_fraction"):

@@ -556,3 +556,33 @@ class TestSparseRootScan:
         assert cols.order.dtype == np.int32
         assert cols.start.tolist() == [[2, 0, 2, 1], [0, 0, 0, 3]]
         assert cols.end.tolist() == [[4, 1, 4, 2], [3, 3, 3, 4]]
+
+
+class TestOneScanPerNode:
+    def counted_scans(self, monkeypatch):
+        scanned = []
+        real = tree._cut_gains
+        monkeypatch.setattr(tree, "_cut_gains", lambda *args: scanned.append(args) or real(*args))
+        return scanned
+
+    def test_pure_node_is_not_searched(self, monkeypatch):
+        # the entropy of 47 rows of one class rounds above 0
+        assert tree._entropy(np.array([47.0, 0.0])) > 0
+        scanned = self.counted_scans(monkeypatch)
+        X = np.random.default_rng(12).normal(size=(47, 3))
+        t = tree.induce(X, np.ones(47, dtype=int), 2, num_classes=2)
+        assert t.leaf_count() == 1 and t.nodes[t.root].klass == 1
+        assert scanned == []
+
+    def test_root_scans_each_feature_once(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        X = rng.integers(0, 6, (120, 10)).astype(float)
+        y = ((X[:, 4] > 2) ^ (rng.random(120) < 0.1)).astype(int)
+        expected = node_tuples(tree.induce(X, y, 2, num_classes=2))
+        scanned = self.counted_scans(monkeypatch)
+        monkeypatch.setattr(tree, "winnow_features", None)  # induce must not call it
+        t = tree.induce(X, y, 2, winnow=True, num_classes=2)
+        assert node_tuples(t) == expected and t.nodes[t.root].feature == 4
+        root_blocks = [block for s, idx, block, _ in scanned if len(idx) == len(X)]
+        assert len(root_blocks) > 1
+        assert sorted(np.concatenate(root_blocks).tolist()) == list(range(10))

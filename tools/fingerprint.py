@@ -13,12 +13,16 @@ in another checkout fingerprints that checkout. The cases:
 * ``gen_xor.*`` and ``load_csv.*``: the bytes ``nnrex gen-xor`` writes, and
   what ``data.load_csv`` reads back from them.
 * ``rules.<activation>.<config>.<method>``: ``rules.to_json`` of every
-  method on seeded untrained nets under five extraction configs. A term-wise
+  method on seeded untrained nets under six extraction configs. A term-wise
   line also gives ``peak_live_rules``, or the guard's layer and count when it
-  fires.
+  fires. ``weighted_winnow`` winnows class-weighted trees, whose roots take
+  the dense scan.
 * ``rules.<activation>.tied.<method>``: the same for the clause-wise and
   tree methods under the default config, on the inputs rounded to one
   decimal, so that the trees split columns with tied values.
+* ``rules.<activation>.three.<method>``: every method under the default
+  config on a net with three output classes, all of which it predicts, so
+  that the intermediate, ``pedc5`` and ``c5`` trees have three classes.
 
 Uses the standard library and numpy only, and runs in well under a minute.
 """
@@ -43,6 +47,7 @@ CONFIGS = {
     "drop30": extract.ExtractionConfig(rule_drop_pct=30.0),
     "weighted": extract.ExtractionConfig(class_weighted=True, winnow=False),
     "stride2": extract.ExtractionConfig(layer_stride=2, include_input_layer=True),
+    "weighted_winnow": extract.ExtractionConfig(class_weighted=True),
 }
 RULE_CAP = 20_000
 
@@ -98,32 +103,39 @@ def csv_files():
                                                  ds.feature_names, ds.class_names)
 
 
+def rule_line(method, ds, net, cfg=extract.ExtractionConfig()) -> str:
+    """The digest of one method's rules; a term-wise line adds
+    ``peak_live_rules``, or is the guard's layer and count when it fires."""
+    if method not in ("remd", "deepred_star"):
+        rs = extract.run_method(method, ds.features, ds.labels, net, cfg,
+                                feature_names=ds.feature_names, num_classes=ds.num_classes)
+        return digest(rules.to_json(rs).encode())
+    stats: dict = {}
+    try:
+        rs = getattr(extract, method)(net, ds.features, cfg, ds.feature_names, RULE_CAP, stats)
+    except extract.ExplosionGuard as exc:
+        return f"guard layer={exc.layer} count={exc.rule_count}"
+    return f"{digest(rules.to_json(rs).encode())} peak_live_rules={stats['peak_live_rules']}"
+
+
 def rule_sets():
     # normal inputs, which these nets split into two classes of similar size
     X = np.random.default_rng(3).normal(0.0, 1.0, size=(100, 4))
     ds = data.Dataset(X, (X[:, 0] * X[:, 1] > 0).astype(int), ("a", "b", "c", "d"), ("neg", "pos"))
+    tied = data.Dataset(np.round(X, 1), ds.labels, ds.feature_names, ds.class_names)
+    three = data.Dataset(X, np.digitize(X[:, 0] + X[:, 1], [-0.5, 0.5]), ds.feature_names,
+                         ("low", "mid", "high"))
     for activation in ("tanh", "relu", "elu"):
         net = random_net([4, 8, 4, 2], activation, seed=3)
         for name, cfg in CONFIGS.items():
             for method in extract.METHOD_NAMES:
-                case = f"rules.{activation}.{name}.{method}"
-                if method not in ("remd", "deepred_star"):
-                    rs = extract.run_method(method, ds.features, ds.labels, net, cfg,
-                                            feature_names=ds.feature_names, num_classes=ds.num_classes)
-                    yield case, digest(rules.to_json(rs).encode())
-                    continue
-                stats: dict = {}
-                try:
-                    rs = getattr(extract, method)(net, ds.features, cfg, ds.feature_names, RULE_CAP, stats)
-                except extract.ExplosionGuard as exc:
-                    yield case, f"guard layer={exc.layer} count={exc.rule_count}"
-                else:
-                    yield case, f"{digest(rules.to_json(rs).encode())} peak_live_rules={stats['peak_live_rules']}"
-        tied = np.round(X, 1)
+                yield f"rules.{activation}.{name}.{method}", rule_line(method, ds, net, cfg)
         for method in ("eclaire", "eclaire_star", "pedc5", "c5"):
-            rs = extract.run_method(method, tied, ds.labels, net, feature_names=ds.feature_names,
-                                    num_classes=ds.num_classes)
-            yield f"rules.{activation}.tied.{method}", digest(rules.to_json(rs).encode())
+            yield f"rules.{activation}.tied.{method}", rule_line(method, tied, net)
+        # seed 26 predicts each of the three classes on 19 or more rows
+        net3 = random_net([4, 8, 4, 3], activation, seed=26)
+        for method in extract.METHOD_NAMES:
+            yield f"rules.{activation}.three.{method}", rule_line(method, three, net3)
 
 
 def main() -> None:
