@@ -14,6 +14,15 @@ Four extraction families share one configuration:
 * pedagogical baseline (``pedc5``): one tree from inputs to the network's
   predicted labels.
 * direct baseline (``c5_direct``): one tree from inputs to true labels.
+
+Every network method first labels the rows with one streamed pass of the
+network, which holds one layer's activations at a time, and then subsamples
+them. ``pedc5`` needs nothing more. ``eclaire`` streams the kept rows once
+more, up to its last selected layer, and keeps of each layer only the
+intermediate rules and the rows where their premises hold, so the
+substitution trees run beside those and no activations. The term-wise
+methods read two adjacent layers at each backward step, so they keep every
+layer's outputs from one pass.
 """
 from __future__ import annotations
 
@@ -26,7 +35,7 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 from .data import class_weights_from_labels, stratified_sample_indices
-from .mlp import Mlp, layer_outputs
+from .mlp import Mlp, layer_outputs, stream_layers
 from .rules import (
     Rule,
     RuleSet,
@@ -112,36 +121,53 @@ def _labelled(X: np.ndarray, labels: np.ndarray, cfg: ExtractionConfig, num_clas
 
 @dataclass(frozen=True)
 class _Prepared:
-    """The extraction rows and everything every method derives from them."""
+    """The term-wise methods' extraction rows, with every layer's outputs on
+    them held at once: term-wise substitution reads two adjacent layers at
+    each step, walking backwards from the top."""
 
     X: np.ndarray
     labels: np.ndarray  # the network's predicted labels
     default: int  # majority predicted label
     label_weights: np.ndarray | None
-    layers: list[np.ndarray | None]  # outputs of layers 0..d+1 on X; eclaire frees each once used
+    layers: list[np.ndarray]  # outputs of layers 0..d+1 on X
 
 
-def _finite_layer_outputs(net: Mlp, X: np.ndarray) -> list[np.ndarray]:
-    """:func:`layer_outputs`, rejecting a pass whose values overflow."""
-    layers = layer_outputs(net, X)
+def _finite(layers):
+    """Pass layer outputs through, indexed 0..d+1, rejecting the first one
+    whose values overflow."""
     for k, h in enumerate(layers):
         if not np.isfinite(h).all():
             raise ExtractError(f"network layer {k} gives non-finite values on this data")
-    return layers
+        yield h
 
 
-def _prepare(net: Mlp, X: np.ndarray, cfg: ExtractionConfig) -> _Prepared:
-    """Validate X, label it with the network, subsample it, and run the
-    network over the kept rows once."""
+def _net_rows(net: Mlp, X: np.ndarray) -> np.ndarray:
     X = _as_rows(X)
     if X.shape[1] != net.input_width:
         raise ExtractError(f"data width {X.shape[1]} does not match network input {net.input_width}")
-    layers = _finite_layer_outputs(net, X)
+    return X
+
+
+def _label_pass(net: Mlp, X: np.ndarray, cfg: ExtractionConfig):
+    """Validate X, label it with one streamed pass of the network, which
+    holds one layer's activations at a time, and subsample it: see
+    :func:`_labelled`."""
+    X = _net_rows(net, X)
+    for out in _finite(stream_layers(net, X)):
+        pass
+    return _labelled(X, out.argmax(axis=1), cfg, net.num_classes)
+
+
+def _prepare(net: Mlp, X: np.ndarray, cfg: ExtractionConfig) -> _Prepared:
+    """Validate X, label it with the network, subsample it, and keep every
+    layer's outputs on the kept rows from one pass."""
+    X = _net_rows(net, X)
+    layers = list(_finite(layer_outputs(net, X)))
     X, labels, default, weights = _labelled(X, layers[-1].argmax(axis=1), cfg, net.num_classes)
     if cfg.sample_fraction < 1.0:
         # a fresh pass rather than a row slice: BLAS may round a product
         # over a different row count differently
-        layers = _finite_layer_outputs(net, X)
+        layers = list(_finite(layer_outputs(net, X)))
     return _Prepared(X, labels, default, weights, layers)
 
 
@@ -175,10 +201,13 @@ def substitute_clause(
     return substituted
 
 
-def _substitute_all(rules_and_truths, X: SortedColumns, min_samples: int, class_weighted: bool,
+def _substitute_all(rules_and_rows, X: SortedColumns, min_samples: int, class_weighted: bool,
                     winnow: bool) -> list[Rule]:
+    """Substitute each rule, given with the rows where its premise holds."""
     out: list[Rule] = []
-    for rule, truth in rules_and_truths:
+    for rule, rows in rules_and_rows:
+        truth = np.zeros(X.shape[0], dtype=bool)
+        truth[rows] = True
         weights = class_weights_from_labels(truth.astype(int), 2) if class_weighted else None
         out.extend(substitute_clause(rule, X, truth, min_samples, weights, winnow))
     return out
@@ -197,8 +226,8 @@ def clausewise_substitute(
     substitution, so the output size is the sum of TRUE-premise counts.
     The columns of X are sorted once for all substitution trees."""
     X = sort_columns(X)
-    rules_and_truths = ((rule, premise_mask(rule.premise, H)) for rule in intermediate_rules)
-    return _substitute_all(rules_and_truths, X, min_samples, class_weighted, winnow)
+    rules_and_rows = ((rule, np.flatnonzero(premise_mask(rule.premise, H))) for rule in intermediate_rules)
+    return _substitute_all(rules_and_rows, X, min_samples, class_weighted, winnow)
 
 
 def _selected_layers(net: Mlp, cfg: ExtractionConfig) -> list[int]:
@@ -210,24 +239,48 @@ def _selected_layers(net: Mlp, cfg: ExtractionConfig) -> list[int]:
     return layers
 
 
-def _clausewise_layers(net: Mlp, prep: _Prepared, cfg: ExtractionConfig) -> list[tuple[int, list[Rule]]]:
+def _premise_truths(net: Mlp, X: np.ndarray, labels: np.ndarray, default: int,
+                    weights: np.ndarray | None, cfg: ExtractionConfig):
+    """Walk the network over the extraction rows up to the last selected
+    layer. Each selected layer gets its intermediate tree, and keeps only
+    each surviving intermediate rule's conclusion and confidence with the
+    rows where its premise holds on the layer's activations, which are
+    dropped before the next layer is computed.
+    Returns ``[(layer, [(rule, true rows), ...]), ...]`` in layer order."""
+    selected = _selected_layers(net, cfg)
     out = []
-    cols = prep.X
-    for layer in _selected_layers(net, cfg):
-        # nothing reads a layer's activations after its premise truths, so
-        # they leave prep here and are freed before the substitution trees,
-        # which then run beside less than the forward pass held, and beside
-        # X's column sort, made once for every layer
-        H, prep.layers[layer] = prep.layers[layer], None
-        tree = induce(H, prep.labels, cfg.min_samples, prep.label_weights, cfg.winnow, net.num_classes)
-        intermediate = drop_low_confidence(to_ruleset(tree, prep.default), cfg.rule_drop_pct).rules
-        truths = [premise_mask(rule.premise, H) for rule in intermediate]
-        del H
-        cols = sort_columns(cols)
-        out.append((layer, _substitute_all(
-            zip(intermediate, truths), cols, cfg.min_samples, cfg.class_weighted, cfg.winnow
-        )))
-    return out
+    # a fresh pass over the kept rows gives the label pass's floats: the
+    # same rows in the same order
+    for layer, H in enumerate(_finite(stream_layers(net, X))):
+        if layer in selected:
+            tree = induce(H, labels, cfg.min_samples, weights, cfg.winnow, net.num_classes)
+            intermediate = drop_low_confidence(to_ruleset(tree, default), cfg.rule_drop_pct).rules
+            # substitution reads a rule's conclusion and confidence only, so
+            # the premise goes once its truth is known; a layer's premises
+            # nearly partition the rows, so their row indices together take
+            # about one index per row
+            out.append((layer, [
+                (Rule(frozenset(), rule.conclusion, rule.confidence),
+                 np.flatnonzero(premise_mask(rule.premise, H)))
+                for rule in intermediate
+            ]))
+            # nothing of this layer but its truths may outlive it
+            del tree, intermediate
+        if layer == selected[-1]:
+            return out
+
+
+def _clausewise(net: Mlp, X: np.ndarray, cfg: ExtractionConfig) -> tuple[int, list[tuple[int, list[Rule]]]]:
+    """The majority predicted label and each selected layer's substituted
+    rules. The substitution trees run after the walk, beside only the
+    truths and X's column sort, made once for every layer."""
+    X, labels, default, weights = _label_pass(net, X, cfg)
+    truths = _premise_truths(net, X, labels, default, weights, cfg)
+    cols = sort_columns(X)
+    return default, [
+        (layer, _substitute_all(rules_and_rows, cols, cfg.min_samples, cfg.class_weighted, cfg.winnow))
+        for layer, rules_and_rows in truths
+    ]
 
 
 def eclaire_layer_rules(
@@ -242,7 +295,7 @@ def eclaire_layer_rules(
     predicted labels, optionally drop the lowest-confidence intermediate
     rules, then substitute every surviving premise with input-space rules.
     """
-    return _clausewise_layers(net, _prepare(net, X, cfg), cfg)
+    return _clausewise(net, X, cfg)[1]
 
 
 def eclaire(
@@ -256,9 +309,9 @@ def eclaire(
     Contributions of all selected layers are unioned and canonicalized. The
     default label is the majority predicted label of the extraction set.
     """
-    prep = _prepare(net, X, cfg)
-    all_rules = [r for _, contributed in _clausewise_layers(net, prep, cfg) for r in contributed]
-    return canonicalize(RuleSet(tuple(all_rules), prep.default, net.num_classes, feature_names))
+    default, per_layer = _clausewise(net, X, cfg)
+    all_rules = [r for _, contributed in per_layer for r in contributed]
+    return canonicalize(RuleSet(tuple(all_rules), default, net.num_classes, feature_names))
 
 
 def eclaire_star(
@@ -325,8 +378,10 @@ def _termwise_extract(
         step_rules: list[Rule] = []
         seen: dict = {}
         expanded = cached = 0
+        # the first pass fills the term cache in rule order and counts the
+        # expansion, so the guard fires before any combination is built
+        cached_by_rule = []
         for rule in current:
-            per_term = []
             for t in sorted(rule.premise):
                 if t not in term_cache:
                     term_cache[t] = clausewise_substitute(
@@ -334,15 +389,16 @@ def _termwise_extract(
                         cfg.min_samples, cfg.class_weighted, cfg.winnow,
                     )
                     cached += len(term_cache[t])
-                per_term.append(term_cache[t])
             # the guard counts the pre-deduplication expansion: that product
             # is what grows multiplicatively and must stay bounded
-            expanded += math.prod(map(len, per_term))
+            expanded += math.prod(len(term_cache[t]) for t in rule.premise)
             if expanded > rule_cap:
                 raise ExplosionGuard(expanded, rule_cap, layer)
+            cached_by_rule.append(cached)
+        for rule, cached in zip(current, cached_by_rule):
             # combinations arrive one at a time, and vacuous and duplicate
             # ones are discarded at once: only the surviving set is held
-            for new_rule in _combinations(rule, per_term):
+            for new_rule in _combinations(rule, [term_cache[t] for t in sorted(rule.premise)]):
                 add_canonical(step_rules, seen, new_rule)
             peak_live = max(peak_live, held + len(step_rules) + cached)
         current = step_rules
@@ -388,9 +444,9 @@ def pedc5(
     feature_names: tuple[str, ...] | None = None,
 ) -> RuleSet:
     """Pedagogical baseline: a single tree from inputs to predicted labels."""
-    prep = _prepare(net, X, cfg)
-    tree = induce(prep.X, prep.labels, cfg.min_samples, prep.label_weights, cfg.winnow, net.num_classes)
-    return canonicalize(to_ruleset(tree, prep.default, feature_names))
+    X, labels, default, weights = _label_pass(net, X, cfg)
+    tree = induce(X, labels, cfg.min_samples, weights, cfg.winnow, net.num_classes)
+    return canonicalize(to_ruleset(tree, default, feature_names))
 
 
 def c5_direct(

@@ -1,6 +1,10 @@
 """Feed-forward network with per-layer output capture and a small
 self-contained trainer (Adam on weighted softmax cross-entropy).
 
+Inference streams the layers: :func:`stream_layers` yields each layer's
+output in turn and keeps only the current one, and :func:`layer_outputs`,
+:func:`forward` and :func:`predict_labels` all read that one loop.
+
 The trainer builds the returned network's layers up front and updates
 them in place: every weight and bias is a view into one flat parameter
 vector, and backprop writes each layer's gradient straight into its view of
@@ -122,26 +126,51 @@ def _apply_activation(z: np.ndarray, kind: str) -> np.ndarray:
     raise MlpError(f"unknown activation {kind!r}")
 
 
-def layer_outputs(net: Mlp, x: np.ndarray) -> list[np.ndarray]:
-    """Every layer's output from one pass, indexed 0..d+1: 0 is the input
-    itself, d+1 the softmax output, the rest the post-activation values of
-    the hidden layers. Accepts a single vector or a batch."""
+def _layer_forward(h: np.ndarray, layer: Layer) -> np.ndarray:
+    """One layer's output on ``h``: the bias and a tanh or relu activation
+    are applied in place on the product, which gives the same floats as
+    ``_apply_activation(h @ W.T + b)`` without a second array. For elu and
+    softmax the pre-activation is freed on return."""
+    z = h @ layer.weight.T
+    # column by column: the same sums as z += b, without the 64 KB buffer
+    # that numpy's broadcasting add allocates beside both layers
+    for j, b in enumerate(layer.bias):
+        z[:, j] += b
+    if layer.activation == "tanh":
+        return np.tanh(z, out=z)
+    if layer.activation == "relu":
+        return np.maximum(z, 0.0, out=z)
+    return _apply_activation(z, layer.activation)
+
+
+def stream_layers(net: Mlp, x: np.ndarray):
+    """Yield every layer's output in order, 0..d+1: 0 is the input itself,
+    d+1 the softmax output, the rest the post-activation values of the
+    hidden layers. Only the current layer is held, so a caller that keeps
+    none of them runs the net beside one activation (and the next one while
+    it is computed). Accepts a single vector or a batch."""
     x = np.asarray(x, dtype=float)
     squeeze = x.ndim == 1
     h = np.atleast_2d(x)
     if h.shape[1] != net.input_width:
         raise MlpError(f"input width {h.shape[1]} does not match network input {net.input_width}")
-    outs = [h]
+    yield h[0] if squeeze else h
     for layer in net.layers:
-        z = h @ layer.weight.T + layer.bias
-        h = _apply_activation(z, layer.activation)
-        outs.append(h)
-    return [h[0] for h in outs] if squeeze else outs
+        h = _layer_forward(h, layer)
+        yield h[0] if squeeze else h
+
+
+def layer_outputs(net: Mlp, x: np.ndarray) -> list[np.ndarray]:
+    """Every layer's output from one pass, indexed 0..d+1 as
+    :func:`stream_layers` yields them."""
+    return list(stream_layers(net, x))
 
 
 def forward(net: Mlp, x: np.ndarray) -> np.ndarray:
     """Class-probability output; accepts a single vector or a batch."""
-    return layer_outputs(net, x)[-1]
+    for h in stream_layers(net, x):
+        pass
+    return h
 
 
 def predict_labels(net: Mlp, X: np.ndarray) -> np.ndarray:

@@ -54,3 +54,20 @@ def random_net(sizes, activation="tanh", seed=0):
         kind = "softmax" if k == len(sizes) - 2 else activation
         layers.append(mlp.Layer(W, b, kind))
     return mlp.Mlp(tuple(layers))
+
+
+def full_layer_outputs(net, x):
+    """The forward pass as it was before it streamed, kept as a reference:
+    every layer's output from one pass, each pre-activation alive until the
+    next layer's."""
+    x = np.asarray(x, dtype=float)
+    squeeze = x.ndim == 1
+    h = np.atleast_2d(x)
+    if h.shape[1] != net.input_width:
+        raise mlp.MlpError(f"input width {h.shape[1]} does not match network input {net.input_width}")
+    outs = [h]
+    for layer in net.layers:
+        z = h @ layer.weight.T + layer.bias
+        h = mlp._apply_activation(z, layer.activation)
+        outs.append(h)
+    return [h[0] for h in outs] if squeeze else outs

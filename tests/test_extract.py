@@ -9,6 +9,7 @@ import pytest
 
 from nnrex import data, evaluation, extract, mlp, rules, tree
 from nnrex.rules import OP_GT, Rule, Term, premise_mask
+from conftest import full_layer_outputs
 
 
 # Truth patterns whose substitution trees are forced to carve one TRUE leaf
@@ -275,6 +276,20 @@ print(*(evaluation.measure(lambda: extract.eclaire(net, X, cfg))[2] for _ in ran
         first, second = map(int, out.stdout.split())
         assert abs(first - second) <= 4096
 
+    @pytest.mark.parametrize("rows", [800, 400])
+    def test_streamed_eclaire_peaks_under_three_quarters_of_the_full_pass(
+            self, xor_ds, xor_folds, xor_preset_net, rows):
+        # eclaire holds one layer's activations at a time (two while the
+        # next is computed) and keeps each intermediate rule's truth as row
+        # indices, so it stays well under the pass that held every layer
+        # and its pre-activation at once
+        X = xor_ds.features[list(xor_folds[0].train_indices)][:rows]
+        cfg = extract.ExtractionConfig(min_samples=2)
+        extract.eclaire(xor_preset_net, X, cfg)
+        # the full pass as extraction ran it: every layer checked for finite values
+        full = traced_peak(lambda: [np.isfinite(h).all() for h in full_layer_outputs(xor_preset_net, X)])
+        assert traced_peak(lambda: extract.eclaire(xor_preset_net, X, cfg)) <= 0.75 * full
+
 
 def blobs_net_and_data(seed=0, hidden=(5, 4)):
     rng = np.random.default_rng(seed)
@@ -400,7 +415,7 @@ class TestRunMethod:
         with pytest.raises(extract.ExtractError, match="layer 1 gives non-finite"):
             extract.run_method(method, X, net=net, cfg=cfg)
 
-    @pytest.mark.parametrize("method", ["eclaire", "eclaire_star", "remd", "deepred_star", "pedc5"])
+    @pytest.mark.parametrize("method", ["remd", "deepred_star"])
     def test_one_forward_pass_per_extraction(self, method, monkeypatch):
         net, ds = blobs_net_and_data()
         passes = []
@@ -410,6 +425,32 @@ class TestRunMethod:
         )
         extract.run_method(method, ds.features, net=net, cfg=extract.ExtractionConfig(min_samples=5))
         assert passes == [ds.num_samples]
+
+    @pytest.mark.parametrize("method", ["eclaire", "eclaire_star", "pedc5"])
+    @pytest.mark.parametrize("sample_fraction", [1.0, 0.6])
+    def test_streamed_passes_per_extraction(self, method, sample_fraction, monkeypatch):
+        # a label pass over every row through the output layer; eclaire then
+        # walks the kept rows once, up to its last selected layer, and
+        # pedc5 needs nothing more; neither builds a list of every layer
+        net, ds = blobs_net_and_data()
+        passes = []
+        original = extract.stream_layers
+
+        def counting(net, x):
+            passes.append([len(x), 0])
+            for h in original(net, x):
+                passes[-1][1] += 1
+                yield h
+
+        monkeypatch.setattr(extract, "stream_layers", counting)
+        monkeypatch.setattr(extract, "layer_outputs", None)
+        cfg = extract.ExtractionConfig(min_samples=5, sample_fraction=sample_fraction)
+        extract.run_method(method, ds.features, net=net, cfg=cfg)
+        counts = np.bincount(mlp.predict_labels(net, ds.features))
+        kept = int(sum(np.floor(sample_fraction * counts + 0.5)))
+        d = net.num_hidden
+        walk = [[kept, d + 1]] if method != "pedc5" else []
+        assert passes == [[ds.num_samples, d + 2]] + walk
 
     @pytest.mark.parametrize("method", extract.METHOD_NAMES)
     def test_subsample_of_no_rows_rejected(self, method):

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nnrex import data, mlp
-from conftest import random_net
+from conftest import full_layer_outputs, random_net
 
 
 class TestForward:
@@ -82,6 +82,36 @@ class TestPredictLabels:
     def test_tie_takes_lowest_class(self):
         net = mlp.Mlp((mlp.Layer(np.zeros((3, 2)), np.zeros(3), "softmax"),))
         assert mlp.predict_labels(net, np.array([[0.3, 0.7]]))[0] == 0
+
+
+class TestStreamOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(1, 30),
+        features=st.integers(1, 5),
+        classes=st.integers(2, 4),
+        hidden=st.lists(st.integers(1, 8), min_size=0, max_size=3),
+        activation=st.sampled_from(mlp.HIDDEN_ACTIVATIONS),
+        scale=st.sampled_from([0.1, 1.0, 30.0]),
+        one_row=st.booleans(),
+    )
+    def test_every_array_matches_the_full_pass_bit_for_bit(
+        self, seed, n, features, classes, hidden, activation, scale, one_row
+    ):
+        net = random_net([features, *hidden, classes], activation, seed)
+        X = np.random.default_rng(seed + 1).normal(0.0, scale, size=(n, features))
+        x = X[0] if one_row else X
+        want = full_layer_outputs(net, x)
+        got = mlp.layer_outputs(net, x)
+        streamed = list(mlp.stream_layers(net, x))
+        assert len(got) == len(streamed) == len(want) == net.num_hidden + 2
+        for a, b, c in zip(got, streamed, want):
+            assert a.shape == b.shape == c.shape and a.dtype == b.dtype == c.dtype
+            assert a.tobytes() == b.tobytes() == c.tobytes()
+        assert mlp.forward(net, x).tobytes() == want[-1].tobytes()
+        labels = mlp.predict_labels(net, x)
+        assert np.array_equal(labels, np.atleast_2d(want[-1]).argmax(axis=1))
 
 
 class TestGradients:

@@ -12,6 +12,10 @@ in another checkout fingerprints that checkout. The cases:
   over a fixed grid of row counts, class counts and seeds.
 * ``gen_xor.*`` and ``load_csv.*``: the bytes ``nnrex gen-xor`` writes, and
   what ``data.load_csv`` reads back from them.
+* ``forward.<activation>.batch`` and ``forward.<activation>.row``: every
+  ``mlp.layer_outputs`` array and the ``mlp.forward`` output of the seeded
+  nets below, on the whole input batch and on each input row as a 1-D
+  vector.
 * ``rules.<activation>.<config>.<method>``: ``rules.to_json`` of every
   method on seeded untrained nets under six extraction configs. A term-wise
   line also gives ``peak_live_rules``, or the guard's layer and count when it
@@ -118,6 +122,16 @@ def rule_line(method, ds, net, cfg=extract.ExtractionConfig()) -> str:
     return f"{digest(rules.to_json(rs).encode())} peak_live_rules={stats['peak_live_rules']}"
 
 
+def forward_passes():
+    X = np.random.default_rng(3).normal(0.0, 1.0, size=(100, 4))
+    for activation in ("tanh", "relu", "elu"):
+        nets = [random_net([4, 8, 4, 2], activation, seed=3), random_net([4, 8, 4, 3], activation, seed=26)]
+        for case, inputs in (("batch", [X]), ("row", list(X))):
+            arrays = [h.tobytes() for net in nets for x in inputs
+                      for h in (*mlp.layer_outputs(net, x), mlp.forward(net, x))]
+            yield f"forward.{activation}.{case}", digest(*arrays)
+
+
 def rule_sets():
     # normal inputs, which these nets split into two classes of similar size
     X = np.random.default_rng(3).normal(0.0, 1.0, size=(100, 4))
@@ -139,7 +153,7 @@ def rule_sets():
 
 
 def main() -> None:
-    for source in (folds, csv_files, rule_sets):
+    for source in (folds, csv_files, forward_passes, rule_sets):
         for case, line in source():
             print(case, line, flush=True)
 
