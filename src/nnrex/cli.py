@@ -270,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True, choices=extract.METHOD_NAMES)
     p.add_argument("--mu", dest="min_samples", metavar="MU", type=int, default=2,
                    help="minimum samples for a split")
-    p.add_argument("--include-input-layer", action="store_true")
     p.add_argument("--layer-stride", type=int, default=1)
     p.add_argument("--sample-fraction", type=float, default=1.0)
     p.add_argument("--rule-drop-pct", type=float, default=0.0)

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .data import Dataset, FoldSplit, stratified_kfold
-from .extract import METHOD_NAMES, ExtractError, ExtractionConfig, run_method
+from .extract import ExtractionConfig, check_method, run_method
 from .mlp import Mlp, TrainConfig, predict_labels, train
 from .rules import RuleSet, predict_batch, rule_stats, score_batch
 
@@ -191,8 +191,7 @@ def crossval(
     select on a quarter of the training split held out from extraction
     instead.
     """
-    if method not in METHOD_NAMES:
-        raise ExtractError(f"unknown method {method!r}; choose one of {', '.join(METHOD_NAMES)}")
+    check_method(method, base_cfg)
     mus = mu_grid(grid)
     if select_by not in ("test_accuracy", "validation"):
         raise EvalError(f"unknown selection mode {select_by!r}")

@@ -21,21 +21,25 @@ them. ``pedc5`` needs nothing more. ``eclaire`` streams the kept rows once
 more, up to its last selected layer, and keeps of each layer only the
 intermediate rules and the rows where their premises hold, so the
 substitution trees run beside those and no activations. The term-wise
-methods read two adjacent layers at each backward step, so they keep every
-layer's outputs from one pass.
+methods read two adjacent layers at each backward step, so their second
+pass over the kept rows keeps every layer's outputs.
+
+``eclaire_star`` is ``eclaire`` with the input layer selected too. Only these
+two read ``layer_stride`` and ``rule_drop_pct``; :func:`check_method`
+refuses either knob off its default for the other methods.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 # numpy would load this on first use, and a traced extraction count its 1 MB
 import numpy.random  # noqa: F401
 
 from .data import class_weights_from_labels, stratified_sample_indices
-from .mlp import Mlp, layer_outputs, stream_layers
+from .mlp import Mlp, stream_layers
 from .rules import (
     Rule,
     RuleSet,
@@ -76,11 +80,11 @@ class ExtractionConfig:
     principal complexity control. ``layer_stride``, ``sample_fraction`` and
     ``rule_drop_pct`` are the growth-coping mechanisms: hidden-layer
     subsampling, training-set subsampling, and confidence-ranked pruning of
-    intermediate rules before substitution.
+    intermediate rules before substitution. ``layer_stride`` and
+    ``rule_drop_pct`` are clause-wise only: see :func:`check_method`.
     """
 
     min_samples: int = 2
-    include_input_layer: bool = False
     layer_stride: int = 1
     sample_fraction: float = 1.0
     rule_drop_pct: float = 0.0
@@ -99,8 +103,21 @@ class ExtractionConfig:
             raise ExtractError("rule_drop_pct must be in [0, 100]")
 
 
+def check_method(method: str, cfg: ExtractionConfig) -> None:
+    """Reject an unknown method, and ``layer_stride`` or ``rule_drop_pct``
+    off its default for a method other than eclaire and eclaire_star."""
+    if method not in METHOD_NAMES:
+        raise ExtractError(f"unknown method {method!r}; choose one of {', '.join(METHOD_NAMES)}")
+    unread = () if method in ("eclaire", "eclaire_star") else ("layer_stride", "rule_drop_pct")
+    for knob in unread:
+        if getattr(cfg, knob) != getattr(ExtractionConfig, knob):
+            raise ExtractError(f"method {method} does not read {knob}; only eclaire and eclaire_star do")
+
+
 def _as_rows(X: np.ndarray) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
+    if not X.shape[0]:
+        raise ExtractError("data has no rows")
     if not np.isfinite(X).all():
         raise ExtractError("data contains non-finite values")
     return X
@@ -119,56 +136,26 @@ def _labelled(X: np.ndarray, labels: np.ndarray, cfg: ExtractionConfig, num_clas
     return X, labels, int(np.argmax(np.bincount(labels, minlength=num_classes))), weights
 
 
-@dataclass(frozen=True)
-class _Prepared:
-    """The term-wise methods' extraction rows, with every layer's outputs on
-    them held at once: term-wise substitution reads two adjacent layers at
-    each step, walking backwards from the top."""
-
-    X: np.ndarray
-    labels: np.ndarray  # the network's predicted labels
-    default: int  # majority predicted label
-    label_weights: np.ndarray | None
-    layers: list[np.ndarray]  # outputs of layers 0..d+1 on X
-
-
 def _finite(layers):
     """Pass layer outputs through, indexed 0..d+1, rejecting the first one
     whose values overflow."""
     for k, h in enumerate(layers):
-        if not np.isfinite(h).all():
+        # finite extremes mean finite values, with no bool array the layer's size
+        if not (np.isfinite(h.min()) and np.isfinite(h.max())):
             raise ExtractError(f"network layer {k} gives non-finite values on this data")
         yield h
-
-
-def _net_rows(net: Mlp, X: np.ndarray) -> np.ndarray:
-    X = _as_rows(X)
-    if X.shape[1] != net.input_width:
-        raise ExtractError(f"data width {X.shape[1]} does not match network input {net.input_width}")
-    return X
 
 
 def _label_pass(net: Mlp, X: np.ndarray, cfg: ExtractionConfig):
     """Validate X, label it with one streamed pass of the network, which
     holds one layer's activations at a time, and subsample it: see
     :func:`_labelled`."""
-    X = _net_rows(net, X)
+    X = _as_rows(X)
+    if X.shape[1] != net.input_width:
+        raise ExtractError(f"data width {X.shape[1]} does not match network input {net.input_width}")
     for out in _finite(stream_layers(net, X)):
         pass
     return _labelled(X, out.argmax(axis=1), cfg, net.num_classes)
-
-
-def _prepare(net: Mlp, X: np.ndarray, cfg: ExtractionConfig) -> _Prepared:
-    """Validate X, label it with the network, subsample it, and keep every
-    layer's outputs on the kept rows from one pass."""
-    X = _net_rows(net, X)
-    layers = list(_finite(layer_outputs(net, X)))
-    X, labels, default, weights = _labelled(X, layers[-1].argmax(axis=1), cfg, net.num_classes)
-    if cfg.sample_fraction < 1.0:
-        # a fresh pass rather than a row slice: BLAS may round a product
-        # over a different row count differently
-        layers = list(_finite(layer_outputs(net, X)))
-    return _Prepared(X, labels, default, weights, layers)
 
 
 def substitute_clause(
@@ -230,9 +217,9 @@ def clausewise_substitute(
     return _substitute_all(rules_and_rows, X, min_samples, class_weighted, winnow)
 
 
-def _selected_layers(net: Mlp, cfg: ExtractionConfig) -> list[int]:
+def _selected_layers(net: Mlp, cfg: ExtractionConfig, input_layer: bool) -> list[int]:
     layers = list(range(1, net.num_hidden + 1, cfg.layer_stride))
-    if cfg.include_input_layer:
+    if input_layer:
         layers = [0] + layers
     if not layers:
         raise ExtractError("no layers selected for extraction")
@@ -240,14 +227,14 @@ def _selected_layers(net: Mlp, cfg: ExtractionConfig) -> list[int]:
 
 
 def _premise_truths(net: Mlp, X: np.ndarray, labels: np.ndarray, default: int,
-                    weights: np.ndarray | None, cfg: ExtractionConfig):
+                    weights: np.ndarray | None, cfg: ExtractionConfig, input_layer: bool):
     """Walk the network over the extraction rows up to the last selected
     layer. Each selected layer gets its intermediate tree, and keeps only
     each surviving intermediate rule's conclusion and confidence with the
     rows where its premise holds on the layer's activations, which are
     dropped before the next layer is computed.
     Returns ``[(layer, [(rule, true rows), ...]), ...]`` in layer order."""
-    selected = _selected_layers(net, cfg)
+    selected = _selected_layers(net, cfg, input_layer)
     out = []
     # a fresh pass over the kept rows gives the label pass's floats: the
     # same rows in the same order
@@ -270,12 +257,14 @@ def _premise_truths(net: Mlp, X: np.ndarray, labels: np.ndarray, default: int,
             return out
 
 
-def _clausewise(net: Mlp, X: np.ndarray, cfg: ExtractionConfig) -> tuple[int, list[tuple[int, list[Rule]]]]:
+def _clausewise(net: Mlp, X: np.ndarray, cfg: ExtractionConfig,
+                input_layer: bool = False) -> tuple[int, list[tuple[int, list[Rule]]]]:
     """The majority predicted label and each selected layer's substituted
-    rules. The substitution trees run after the walk, beside only the
-    truths and X's column sort, made once for every layer."""
+    rules; ``input_layer`` selects layer 0 too. The substitution trees run
+    after the walk, beside only the truths and X's column sort, made once
+    for every layer."""
     X, labels, default, weights = _label_pass(net, X, cfg)
-    truths = _premise_truths(net, X, labels, default, weights, cfg)
+    truths = _premise_truths(net, X, labels, default, weights, cfg, input_layer)
     cols = sort_columns(X)
     return default, [
         (layer, _substitute_all(rules_and_rows, cols, cfg.min_samples, cfg.class_weighted, cfg.winnow))
@@ -298,6 +287,12 @@ def eclaire_layer_rules(
     return _clausewise(net, X, cfg)[1]
 
 
+def _eclaire(net: Mlp, X: np.ndarray, cfg: ExtractionConfig, feature_names, input_layer: bool) -> RuleSet:
+    default, per_layer = _clausewise(net, X, cfg, input_layer)
+    all_rules = [r for _, contributed in per_layer for r in contributed]
+    return canonicalize(RuleSet(tuple(all_rules), default, net.num_classes, feature_names))
+
+
 def eclaire(
     net: Mlp,
     X: np.ndarray,
@@ -309,9 +304,7 @@ def eclaire(
     Contributions of all selected layers are unioned and canonicalized. The
     default label is the majority predicted label of the extraction set.
     """
-    default, per_layer = _clausewise(net, X, cfg)
-    all_rules = [r for _, contributed in per_layer for r in contributed]
-    return canonicalize(RuleSet(tuple(all_rules), default, net.num_classes, feature_names))
+    return _eclaire(net, X, cfg, feature_names, input_layer=False)
 
 
 def eclaire_star(
@@ -321,7 +314,7 @@ def eclaire_star(
     feature_names: tuple[str, ...] | None = None,
 ) -> RuleSet:
     """Eclectic variant: the input layer joins the hidden representations."""
-    return eclaire(net, X, replace(cfg, include_input_layer=True), feature_names)
+    return _eclaire(net, X, cfg, feature_names, input_layer=True)
 
 
 def _combinations(rule: Rule, per_term: list[list[Rule]]):
@@ -358,11 +351,12 @@ def _termwise_extract(
     d = net.num_hidden
     if d == 0:
         raise ExtractError("term-wise extraction needs at least one hidden layer")
-    prep = _prepare(net, X, cfg)
-    top_tree = induce(
-        prep.layers[d], prep.labels, cfg.min_samples, prep.label_weights, cfg.winnow, net.num_classes
-    )
-    current = list(to_ruleset(top_tree, prep.default).rules)
+    X, labels, default, weights = _label_pass(net, X, cfg)
+    # each backward step reads two adjacent layers, so this second pass
+    # over the kept rows keeps them all
+    layers = list(_finite(stream_layers(net, X)))
+    top_tree = induce(layers[d], labels, cfg.min_samples, weights, cfg.winnow, net.num_classes)
+    current = list(to_ruleset(top_tree, default).rules)
     # the per-layer sets stay referenced until extraction finishes: the
     # memory profile that separates deepred_star from remd
     history = [current] if keep_history else []
@@ -372,7 +366,7 @@ def _termwise_extract(
     # materialization
     peak_live = 0
     for layer in range(d, 0, -1):
-        prev_cols = sort_columns(prep.layers[layer - 1])
+        prev_cols = sort_columns(layers[layer - 1])
         held = sum(map(len, history)) if keep_history else len(current)
         term_cache: dict = {}
         step_rules: list[Rule] = []
@@ -385,7 +379,7 @@ def _termwise_extract(
             for t in sorted(rule.premise):
                 if t not in term_cache:
                     term_cache[t] = clausewise_substitute(
-                        [Rule(frozenset([t]), 0, 1.0)], prep.layers[layer], prev_cols,
+                        [Rule(frozenset([t]), 0, 1.0)], layers[layer], prev_cols,
                         cfg.min_samples, cfg.class_weighted, cfg.winnow,
                     )
                     cached += len(term_cache[t])
@@ -407,7 +401,7 @@ def _termwise_extract(
 
     if stats is not None:
         stats["peak_live_rules"] = peak_live
-    return RuleSet(tuple(current), prep.default, net.num_classes, feature_names)
+    return RuleSet(tuple(current), default, net.num_classes, feature_names)
 
 
 def remd(
@@ -456,13 +450,18 @@ def c5_direct(
     num_classes: int | None = None,
     feature_names: tuple[str, ...] | None = None,
 ) -> RuleSet:
-    """Direct baseline: a single tree from inputs to true labels."""
+    """Direct baseline: a single tree from inputs to true labels, whole
+    numbers in [0, num_classes), by default [0, largest label]."""
     X = _as_rows(X)
-    y = np.asarray(y, dtype=int)
-    if num_classes is None:
-        num_classes = int(y.max()) + 1
-    num_classes = max(num_classes, 2)
-    X, y, default, weights = _labelled(X, y, cfg, num_classes)
+    y = np.asarray(y)
+    if y.shape != (X.shape[0],):
+        raise ExtractError(f"{y.size} true labels for {X.shape[0]} rows")
+    if not (np.isfinite(y) & (y == np.floor(y))).all():
+        raise ExtractError("true labels must be whole numbers")
+    num_classes = max(int(y.max()) + 1 if num_classes is None else num_classes, 2)
+    if y.min() < 0 or y.max() >= num_classes:
+        raise ExtractError(f"true labels must lie in [0, {num_classes})")
+    X, y, default, weights = _labelled(X, y.astype(int), cfg, num_classes)
     tree = induce(X, y, cfg.min_samples, weights, cfg.winnow, num_classes)
     return canonicalize(to_ruleset(tree, default, feature_names))
 
@@ -479,8 +478,7 @@ def run_method(
 ) -> RuleSet:
     """Dispatch by method name: eclaire | eclaire_star | remd | deepred_star
     | pedc5 | c5."""
-    if method not in METHOD_NAMES:
-        raise ExtractError(f"unknown method {method!r}; choose one of {', '.join(METHOD_NAMES)}")
+    check_method(method, cfg)
     if method == "c5":
         if y is None:
             raise ExtractError("method c5 requires true labels")

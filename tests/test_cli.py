@@ -498,8 +498,8 @@ class TestCrossvalCommand:
 
 # One non-default value for every ExtractionConfig field.
 NON_DEFAULT_KNOBS = {
-    "min_samples": 5, "include_input_layer": True, "layer_stride": 2, "sample_fraction": 0.5,
-    "rule_drop_pct": 10.0, "winnow": False, "class_weighted": True, "seed": 7,
+    "min_samples": 5, "layer_stride": 2, "sample_fraction": 0.5, "rule_drop_pct": 10.0,
+    "winnow": False, "class_weighted": True, "seed": 7,
 }
 
 
@@ -521,7 +521,7 @@ class TestExtractionKnobs:
         monkeypatch.setattr(extract, "run_method", capture)
         with pytest.raises(Captured):
             run(["extract", "--data", small_csv, "--weights", small_weights, "--method", "eclaire",
-                 "--mu", "5", "--include-input-layer", "--layer-stride", "2", "--sample-fraction", "0.5",
+                 "--mu", "5", "--layer-stride", "2", "--sample-fraction", "0.5",
                  "--rule-drop-pct", "10", "--no-winnow", "--class-weighted", "--seed", "7",
                  "--out", str(tmp_path / "rules.json")])
         assert seen == [extract.ExtractionConfig(**NON_DEFAULT_KNOBS)]

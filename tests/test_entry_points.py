@@ -5,7 +5,8 @@ a rule set that comes back round-trips through JSON, is byte-identical on
 a rerun and predicts valid classes only. Through the CLI, `train` and then
 `extract` exit with a mapped code, print no traceback and warn nothing, and
 so do `evaluate` and `feature-usage` on rule files that may not fit their
-data."""
+data. Only the clause-wise methods take `layer_stride` and `rule_drop_pct`
+off their defaults."""
 import contextlib
 import io
 import json
@@ -144,3 +145,42 @@ def test_cli_read_side_commands_exit_with_a_mapped_code(data_, width):
                      cli.main(["feature-usage", "--rules", str(rules_path)])]
     assert set(codes) <= {0, 2, 3}
     assert "Traceback" not in stderr.getvalue()
+
+
+@pytest.fixture(scope="module")
+def knob_case(tmp_path_factory):
+    """Rows, their labels, a net, and its weight file and CSV beside them."""
+    tmp = tmp_path_factory.mktemp("knobs")
+    X = np.random.default_rng(3).normal(0.0, 1.0, size=(40, 2))
+    y = (X[:, 0] * X[:, 1] > 0).astype(int)
+    net = random_net([2, 4, 3, 2], "tanh", seed=3)
+    mlp.save(net, tmp / "net.json")
+    lines = ["a,b,label"] + [f"{a!r},{b!r},{'pq'[label]}" for (a, b), label in zip(X.tolist(), y)]
+    (tmp / "d.csv").write_text("\n".join(lines) + "\n")
+    return X, y, net, tmp
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data_=st.data(),
+    method=st.sampled_from(extract.METHOD_NAMES),
+    knob=st.sampled_from(["layer_stride", "rule_drop_pct"]),
+)
+def test_only_clausewise_methods_take_their_knobs(knob_case, data_, method, knob):
+    values = st.integers(1, 4) if knob == "layer_stride" else st.just(0.0) | st.floats(0.0, 100.0)
+    value = data_.draw(values)
+    refused = method not in ("eclaire", "eclaire_star") and value != getattr(extract.ExtractionConfig(), knob)
+    X, y, net, tmp = knob_case
+    try:
+        extract.run_method(method, X, y, net, extract.ExtractionConfig(**{knob: value}))
+        message = ""
+    except extract.ExtractError as exc:
+        message = str(exc)
+    assert bool(message) == refused and (knob in message) == refused
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["extract", "--data", str(tmp / "d.csv"), "--weights", str(tmp / "net.json"),
+                         "--method", method, f"--{knob.replace('_', '-')}", str(value),
+                         "--out", str(tmp / "r.json")])
+    assert code == (2 if refused else 0)
+    assert (knob in stderr.getvalue()) == refused

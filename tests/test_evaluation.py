@@ -248,6 +248,17 @@ class TestCrossval:
         with pytest.raises(extract.ExtractError):
             evaluation.crossval(ds, "sorcery", (2, 2, 1), net_preset=None, k=3, seed=0)
 
+    @pytest.mark.parametrize("knob, value", [("layer_stride", 2), ("rule_drop_pct", 10.0)])
+    def test_unread_knob_refused_before_any_fold(self, monkeypatch, knob, value):
+        def fail(*args, **kwargs):
+            raise AssertionError("crossval went on past a knob its method does not read")
+
+        monkeypatch.setattr(evaluation, "stratified_kfold", fail)
+        monkeypatch.setattr(evaluation, "train", fail)
+        cfg = extract.ExtractionConfig(**{knob: value})
+        with pytest.raises(extract.ExtractError, match=f"method remd does not read {knob}"):
+            evaluation.crossval(tiny_blobs(seed=4), "remd", (25, 26, 1), net_preset="xor", k=3, base_cfg=cfg)
+
 
 class TestReportRendering:
     def test_table_marks_missing_as_na(self, blob_crossval):

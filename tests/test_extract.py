@@ -9,7 +9,7 @@ import pytest
 
 from nnrex import data, evaluation, extract, mlp, rules, tree
 from nnrex.rules import OP_GT, Rule, Term, premise_mask
-from conftest import full_layer_outputs
+from conftest import full_layer_outputs, random_net
 
 
 # Truth patterns whose substitution trees are forced to carve one TRUE leaf
@@ -177,10 +177,15 @@ class TestEclaire:
             assert contributed == all_layers[layer]
 
     def test_include_input_layer_adds_layer_zero(self, xor_ds, quick_xor_net):
+        # eclaire_star is eclaire's union over layer 0 and eclaire's layers
         X = xor_ds.features[:300]
-        cfg = extract.ExtractionConfig(min_samples=5, include_input_layer=True)
-        layers = [layer for layer, _ in extract.eclaire_layer_rules(quick_xor_net, X, cfg)]
-        assert layers[0] == 0
+        cfg = extract.ExtractionConfig(min_samples=5, layer_stride=2)
+        default, per_layer = extract._clausewise(quick_xor_net, X, cfg, input_layer=True)
+        assert per_layer[0][0] == 0
+        assert per_layer[1:] == extract.eclaire_layer_rules(quick_xor_net, X, cfg)
+        union = tuple(r for _, contributed in per_layer for r in contributed)
+        assert extract.eclaire_star(quick_xor_net, X, cfg) == rules.canonicalize(
+            rules.RuleSet(union, default, quick_xor_net.num_classes))
 
     def test_no_dead_rules_on_training_data(self, xor_ds, quick_xor_net):
         X = xor_ds.features[:300]
@@ -208,14 +213,6 @@ class TestEclaire:
     def test_width_mismatch_rejected(self, quick_xor_net):
         with pytest.raises(extract.ExtractError, match="width"):
             extract.eclaire(quick_xor_net, np.zeros((4, 3)))
-
-    def test_eclaire_star_equals_flagged_eclaire(self, xor_ds, quick_xor_net):
-        X = xor_ds.features[:200]
-        cfg = extract.ExtractionConfig(min_samples=5)
-        star = extract.eclaire_star(quick_xor_net, X, cfg)
-        flagged = extract.eclaire(
-            quick_xor_net, X, extract.ExtractionConfig(min_samples=5, include_input_layer=True))
-        assert star == flagged
 
     def test_substitution_trees_share_one_column_sort(self, xor_ds, quick_xor_net, monkeypatch):
         # every substitution tree of an extraction, over all its layers,
@@ -249,13 +246,13 @@ def traced_peak(fn):
 class TestMemory:
     @pytest.mark.parametrize("rows", [800, 400])
     def test_trees_stay_under_the_forward_pass_peak(self, xor_ds, xor_folds, xor_preset_net, rows):
-        # the forward pass sets eclaire's peak allocation; the split scan's
-        # block budget must keep every tree below it
+        # the split scan's block budget must keep every tree below the
+        # all-layer forward pass that the term-wise methods hold
         X = xor_ds.features[list(xor_folds[0].train_indices)][:rows]
         cfg = extract.ExtractionConfig(min_samples=2)
         extract.eclaire(xor_preset_net, X, cfg)
-        prepare = traced_peak(lambda: extract._prepare(xor_preset_net, X, cfg))
-        assert traced_peak(lambda: extract.eclaire(xor_preset_net, X, cfg)) <= prepare
+        every_layer = traced_peak(lambda: list(extract._finite(mlp.stream_layers(xor_preset_net, X))))
+        assert traced_peak(lambda: extract.eclaire(xor_preset_net, X, cfg)) <= every_layer
 
     def test_first_subsampled_extraction_peaks_like_the_next(self, xor_ds, xor_folds, xor_preset_net,
                                                              tmp_path):
@@ -415,23 +412,13 @@ class TestRunMethod:
         with pytest.raises(extract.ExtractError, match="layer 1 gives non-finite"):
             extract.run_method(method, X, net=net, cfg=cfg)
 
-    @pytest.mark.parametrize("method", ["remd", "deepred_star"])
-    def test_one_forward_pass_per_extraction(self, method, monkeypatch):
-        net, ds = blobs_net_and_data()
-        passes = []
-        original = extract.layer_outputs
-        monkeypatch.setattr(
-            extract, "layer_outputs", lambda net, x: passes.append(len(x)) or original(net, x)
-        )
-        extract.run_method(method, ds.features, net=net, cfg=extract.ExtractionConfig(min_samples=5))
-        assert passes == [ds.num_samples]
-
-    @pytest.mark.parametrize("method", ["eclaire", "eclaire_star", "pedc5"])
+    @pytest.mark.parametrize("method", ["eclaire", "eclaire_star", "remd", "deepred_star", "pedc5"])
     @pytest.mark.parametrize("sample_fraction", [1.0, 0.6])
     def test_streamed_passes_per_extraction(self, method, sample_fraction, monkeypatch):
         # a label pass over every row through the output layer; eclaire then
-        # walks the kept rows once, up to its last selected layer, and
-        # pedc5 needs nothing more; neither builds a list of every layer
+        # walks the kept rows once, up to its last selected layer, the
+        # term-wise methods walk them through the output layer, and pedc5
+        # needs nothing more
         net, ds = blobs_net_and_data()
         passes = []
         original = extract.stream_layers
@@ -443,14 +430,28 @@ class TestRunMethod:
                 yield h
 
         monkeypatch.setattr(extract, "stream_layers", counting)
-        monkeypatch.setattr(extract, "layer_outputs", None)
         cfg = extract.ExtractionConfig(min_samples=5, sample_fraction=sample_fraction)
         extract.run_method(method, ds.features, net=net, cfg=cfg)
         counts = np.bincount(mlp.predict_labels(net, ds.features))
         kept = int(sum(np.floor(sample_fraction * counts + 0.5)))
         d = net.num_hidden
-        walk = [[kept, d + 1]] if method != "pedc5" else []
+        last = d + 1 if method.startswith("eclaire") else d + 2
+        walk = [[kept, last]] if method != "pedc5" else []
         assert passes == [[ds.num_samples, d + 2]] + walk
+
+    @pytest.mark.parametrize("method, X, y, num_classes, match", [
+        *((method, np.zeros((0, 2)), np.zeros(0, dtype=int), 2, "no rows")
+          for method in extract.METHOD_NAMES),
+        ("c5", np.zeros((0, 2)), np.zeros(0, dtype=int), None, "no rows"),
+        ("c5", np.zeros((4, 2)), np.zeros(3, dtype=int), None, "3 true labels for 4 rows"),
+        ("c5", np.zeros((4, 2)), np.array([0, 1, -1, 0]), None, r"must lie in \[0, 2\)"),
+        ("c5", np.zeros((4, 2)), np.array([0, 1, 2, 0]), 2, r"must lie in \[0, 2\)"),
+        ("c5", np.zeros((4, 2)), np.array([0, 1, 0.5, 0]), 2, "whole numbers"),
+    ], ids=[*extract.METHOD_NAMES, "c5-inferred-classes", "short-labels", "negative", "too-large",
+            "fractional"])
+    def test_bad_rows_or_labels_raise_extract_error(self, method, X, y, num_classes, match):
+        with pytest.raises(extract.ExtractError, match=match):
+            extract.run_method(method, X, y, random_net([2, 3, 2]), num_classes=num_classes)
 
     @pytest.mark.parametrize("method", extract.METHOD_NAMES)
     def test_subsample_of_no_rows_rejected(self, method):

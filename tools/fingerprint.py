@@ -19,8 +19,9 @@ in another checkout fingerprints that checkout. The cases:
 * ``rules.<activation>.<config>.<method>``: ``rules.to_json`` of every
   method on seeded untrained nets under six extraction configs. A term-wise
   line also gives ``peak_live_rules``, or the guard's layer and count when it
-  fires. ``weighted_winnow`` winnows class-weighted trees, whose roots take
-  the dense scan.
+  fires. A method that does not read a config's knob gives ``error`` and the
+  message refusing it. ``weighted_winnow`` winnows class-weighted trees,
+  whose roots take the dense scan.
 * ``rules.<activation>.tied.<method>``: the same for the clause-wise and
   tree methods under the default config, on the inputs rounded to one
   decimal, so that the trees split columns with tied values.
@@ -50,7 +51,7 @@ CONFIGS = {
     "sample0.6": extract.ExtractionConfig(sample_fraction=0.6),
     "drop30": extract.ExtractionConfig(rule_drop_pct=30.0),
     "weighted": extract.ExtractionConfig(class_weighted=True, winnow=False),
-    "stride2": extract.ExtractionConfig(layer_stride=2, include_input_layer=True),
+    "stride2": extract.ExtractionConfig(layer_stride=2),
     "weighted_winnow": extract.ExtractionConfig(class_weighted=True),
 }
 RULE_CAP = 20_000
@@ -109,7 +110,12 @@ def csv_files():
 
 def rule_line(method, ds, net, cfg=extract.ExtractionConfig()) -> str:
     """The digest of one method's rules; a term-wise line adds
-    ``peak_live_rules``, or is the guard's layer and count when it fires."""
+    ``peak_live_rules``, or is the guard's layer and count when it fires.
+    A config knob that the method does not read gives the refusal."""
+    try:
+        extract.check_method(method, cfg)
+    except extract.ExtractError as exc:
+        return f"error {exc}"
     if method not in ("remd", "deepred_star"):
         rs = extract.run_method(method, ds.features, ds.labels, net, cfg,
                                 feature_names=ds.feature_names, num_classes=ds.num_classes)
