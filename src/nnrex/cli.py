@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import itertools
 import json
 import sys
@@ -32,13 +33,21 @@ class ConfigError(ValueError):
     pass
 
 
+def _csv_cell(text: str) -> str:
+    """``text`` as csv.writer writes it among other fields of a row."""
+    line = io.StringIO()
+    csv.writer(line).writerow([text, ""])
+    return line.getvalue()[:-len(",\r\n")]
+
+
 def _write_dataset_csv(ds: data.Dataset, path) -> None:
+    """The rows as csv.writer writes them, a float as its repr, which
+    round-trips exactly; the body is formatted directly, which is faster."""
+    labels = [_csv_cell(name) for name in ds.class_names]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([*ds.feature_names, "label"])
-        # csv writes a float as its repr, which round-trips exactly
-        rows = zip(ds.features.tolist(), ds.labels)
-        writer.writerows([*row, ds.class_names[label]] for row, label in rows)
+        csv.writer(fh).writerow([*ds.feature_names, "label"])
+        rows = zip(ds.features.tolist(), ds.labels.tolist())
+        fh.write("".join([f"{','.join(map(repr, row))},{labels[label]}\r\n" for row, label in rows]))
 
 
 def cmd_gen_xor(args) -> int:

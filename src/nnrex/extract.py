@@ -20,13 +20,17 @@ network, which holds one layer's activations at a time, and then subsamples
 them. ``pedc5`` needs nothing more. ``eclaire`` streams the kept rows once
 more, up to its last selected layer, and keeps of each layer only the
 intermediate rules and the rows where their premises hold, so the
-substitution trees run beside those and no activations. The term-wise
-methods read two adjacent layers at each backward step, so their second
-pass over the kept rows keeps every layer's outputs.
+substitution trees run beside those and no activations. A layer's
+substitution trees share one sort of the input's columns, made once per
+extraction, and grow together level by level as one forest
+(:func:`~nnrex.tree.grow_forest`). The term-wise methods read two adjacent
+layers at each backward step, so their second pass over the kept rows
+keeps every layer's outputs.
 
 ``eclaire_star`` is ``eclaire`` with the input layer selected too. Only these
-two read ``layer_stride`` and ``rule_drop_pct``; :func:`check_method`
-refuses either knob off its default for the other methods.
+two read ``layer_stride`` and ``rule_drop_pct``; every other method, called
+directly or through :func:`run_method`, refuses either knob off its default
+(:func:`check_method`).
 """
 from __future__ import annotations
 
@@ -48,7 +52,7 @@ from .rules import (
     drop_low_confidence,
     premise_mask,
 )
-from .tree import SortedColumns, induce, sort_columns, to_ruleset
+from .tree import SortedColumns, grow_forest, induce, sort_columns, to_ruleset
 
 METHOD_NAMES = ("eclaire", "eclaire_star", "remd", "deepred_star", "pedc5", "c5")
 
@@ -103,11 +107,15 @@ class ExtractionConfig:
             raise ExtractError("rule_drop_pct must be in [0, 100]")
 
 
+def _check_known(method: str) -> None:
+    if method not in METHOD_NAMES:
+        raise ExtractError(f"unknown method {method!r}; choose one of {', '.join(METHOD_NAMES)}")
+
+
 def check_method(method: str, cfg: ExtractionConfig) -> None:
     """Reject an unknown method, and ``layer_stride`` or ``rule_drop_pct``
     off its default for a method other than eclaire and eclaire_star."""
-    if method not in METHOD_NAMES:
-        raise ExtractError(f"unknown method {method!r}; choose one of {', '.join(METHOD_NAMES)}")
+    _check_known(method)
     unread = () if method in ("eclaire", "eclaire_star") else ("layer_stride", "rule_drop_pct")
     for knob in unread:
         if getattr(cfg, knob) != getattr(ExtractionConfig, knob):
@@ -158,6 +166,16 @@ def _label_pass(net: Mlp, X: np.ndarray, cfg: ExtractionConfig):
     return _labelled(X, out.argmax(axis=1), cfg, net.num_classes)
 
 
+def _true_leaf_rules(rule: Rule, tree) -> list[Rule]:
+    """The premises of the tree's leaves concluding TRUE, each mapped to the
+    rule's conclusion with confidence = rule confidence x leaf confidence."""
+    return [
+        Rule(leaf_rule.premise, rule.conclusion, rule.confidence * leaf_rule.confidence)
+        for leaf_rule in to_ruleset(tree, 0).rules
+        if leaf_rule.conclusion == 1
+    ]
+
+
 def substitute_clause(
     rule: Rule,
     X: np.ndarray | SortedColumns,
@@ -178,26 +196,35 @@ def substitute_clause(
     truth = np.asarray(premise_truth).astype(int)
     if truth.shape != (X.shape[0],):
         raise ExtractError("premise_truth length must match X")
-    tree = induce(X, truth, min_samples, class_weight, winnow, num_classes=2)
-    substituted = []
-    for leaf_rule in to_ruleset(tree, 0).rules:
-        if leaf_rule.conclusion == 1:
-            substituted.append(
-                Rule(leaf_rule.premise, rule.conclusion, rule.confidence * leaf_rule.confidence)
-            )
-    return substituted
+    return _true_leaf_rules(rule, induce(X, truth, min_samples, class_weight, winnow, num_classes=2))
+
+
+class _Truths:
+    """The premise-truth label vector of each rule, built when the forest
+    asks for it, from the rows where the rule's premise holds."""
+
+    def __init__(self, true_rows, n: int):
+        self.true_rows, self.n = true_rows, n
+
+    def __len__(self):
+        return len(self.true_rows)
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        truth = np.zeros(self.n, dtype=np.uint8)
+        truth[self.true_rows[i]] = 1
+        return truth
 
 
 def _substitute_all(rules_and_rows, X: SortedColumns, min_samples: int, class_weighted: bool,
                     winnow: bool) -> list[Rule]:
-    """Substitute each rule, given with the rows where its premise holds."""
-    out: list[Rule] = []
-    for rule, rows in rules_and_rows:
-        truth = np.zeros(X.shape[0], dtype=bool)
-        truth[rows] = True
-        weights = class_weights_from_labels(truth.astype(int), 2) if class_weighted else None
-        out.extend(substitute_clause(rule, X, truth, min_samples, weights, winnow))
-    return out
+    """Substitute each rule, given with the rows where its premise holds, as
+    :func:`substitute_clause` does: the substitution trees of all the rules
+    share X's column sort and grow together, as one forest."""
+    rules_and_rows = list(rules_and_rows)
+    truths = _Truths([rows for _, rows in rules_and_rows], X.shape[0])
+    weights = [class_weights_from_labels(truths[i], 2) for i in range(len(truths))] if class_weighted else None
+    trees = grow_forest(X, truths, min_samples, weights, winnow)
+    return [r for (rule, _), tree in zip(rules_and_rows, trees) for r in _true_leaf_rules(rule, tree)]
 
 
 def clausewise_substitute(
@@ -272,21 +299,6 @@ def _clausewise(net: Mlp, X: np.ndarray, cfg: ExtractionConfig,
     ]
 
 
-def eclaire_layer_rules(
-    net: Mlp,
-    X: np.ndarray,
-    cfg: ExtractionConfig = ExtractionConfig(),
-) -> list[tuple[int, list[Rule]]]:
-    """Per-layer clause-wise extraction, before merging.
-
-    Each selected layer is processed independently of the others, in layer
-    order: induce an intermediate tree from its activations to the network's
-    predicted labels, optionally drop the lowest-confidence intermediate
-    rules, then substitute every surviving premise with input-space rules.
-    """
-    return _clausewise(net, X, cfg)[1]
-
-
 def _eclaire(net: Mlp, X: np.ndarray, cfg: ExtractionConfig, feature_names, input_layer: bool) -> RuleSet:
     default, per_layer = _clausewise(net, X, cfg, input_layer)
     all_rules = [r for _, contributed in per_layer for r in contributed]
@@ -299,8 +311,12 @@ def eclaire(
     cfg: ExtractionConfig = ExtractionConfig(),
     feature_names: tuple[str, ...] | None = None,
 ) -> RuleSet:
-    """Clause-wise decompositional extraction; see :func:`eclaire_layer_rules`.
+    """Clause-wise decompositional extraction.
 
+    Each selected layer is processed independently of the others, in layer
+    order: induce an intermediate tree from its activations to the network's
+    predicted labels, optionally drop the lowest-confidence intermediate
+    rules, then substitute every surviving premise with input-space rules.
     Contributions of all selected layers are unioned and canonicalized. The
     default label is the majority predicted label of the extraction set.
     """
@@ -414,6 +430,7 @@ def remd(
 ) -> RuleSet:
     """Term-wise backward substitution with eager per-step rewriting: only
     the current rule set is kept in memory between layer steps."""
+    check_method("remd", cfg)
     return _termwise_extract(net, X, cfg, feature_names, rule_cap, keep_history=False, stats=stats)
 
 
@@ -428,6 +445,7 @@ def deepred_star(
     """Term-wise backward substitution that materializes and retains every
     per-layer intermediate rule set, trading memory for inspectability; the
     final rule set matches :func:`remd` up to deduplication ordering."""
+    check_method("deepred_star", cfg)
     return _termwise_extract(net, X, cfg, feature_names, rule_cap, keep_history=True, stats=stats)
 
 
@@ -438,6 +456,7 @@ def pedc5(
     feature_names: tuple[str, ...] | None = None,
 ) -> RuleSet:
     """Pedagogical baseline: a single tree from inputs to predicted labels."""
+    check_method("pedc5", cfg)
     X, labels, default, weights = _label_pass(net, X, cfg)
     tree = induce(X, labels, cfg.min_samples, weights, cfg.winnow, net.num_classes)
     return canonicalize(to_ruleset(tree, default, feature_names))
@@ -452,6 +471,7 @@ def c5_direct(
 ) -> RuleSet:
     """Direct baseline: a single tree from inputs to true labels, whole
     numbers in [0, num_classes), by default [0, largest label]."""
+    check_method("c5", cfg)
     X = _as_rows(X)
     y = np.asarray(y)
     if y.shape != (X.shape[0],):
@@ -477,8 +497,8 @@ def run_method(
     rule_cap: int = DEFAULT_RULE_CAP,
 ) -> RuleSet:
     """Dispatch by method name: eclaire | eclaire_star | remd | deepred_star
-    | pedc5 | c5."""
-    check_method(method, cfg)
+    | pedc5 | c5. Each method checks the config itself."""
+    _check_known(method)
     if method == "c5":
         if y is None:
             raise ExtractError("method c5 requires true labels")

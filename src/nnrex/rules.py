@@ -36,10 +36,6 @@ class Term:
         if not np.isfinite(self.threshold):
             raise RuleSetError("threshold must be finite")
 
-    def holds(self, x) -> bool:
-        v = x[self.feature]
-        return v > self.threshold if self.op == OP_GT else v <= self.threshold
-
     def __str__(self):
         return f"x{self.feature} {self.op} {self.threshold:g}"
 
@@ -89,11 +85,6 @@ class RuleSet:
 
     def __len__(self):
         return len(self.rules)
-
-
-def eval_premise(premise, x) -> bool:
-    """True iff every term holds on x; the empty conjunction is true."""
-    return all(t.holds(x) for t in premise)
 
 
 def premise_mask(premise, X: np.ndarray) -> np.ndarray:

@@ -15,25 +15,32 @@ inducer from chasing sampling noise:
 The tree is fully deterministic: gain-ratio ties go to the lowest feature
 index, then the lowest threshold.
 
-Split search scans all candidate features of a node at once, block by
-block, with numpy, and evaluates gains only at candidate cuts, with the
-same float operations in the same order as a per-feature search. Rows
-passed as :class:`SortedColumns` are presorted (SLIQ-style, Mehta et al.
-1996): every column's stable row order is computed once and shared by all
-trees induced from those rows, as clause-wise substitution does, and a
-node's order is that order filtered to its rows. A plain array is sorted
-per node and block instead, so a tree over a wide hidden layer never holds
-a sort of all its columns. A block holds at most ``BLOCK_COLUMNS`` columns
-of the input's full height, so the scan's memory grows with the input but
-stays a few columns' worth.
+Split search scores many segments at once with numpy, a segment being one
+node's rows sorted on one feature, and evaluates gains only at candidate
+cuts, with the same float operations in the same order as a per-feature
+search. Class-weighted sizes come from exact integer class counts: k rows
+of a class of weight w weigh w added k times in turn, which is what a
+running sum over the rows adds up to. A pass holds at most
+``BLOCK_COLUMNS`` columns of the input's full height, so the scan's memory
+grows with the input but stays a few columns' worth.
+
+A tree over a plain array grows one node at a time, each node's rows
+sorted per block of features, so a tree over a wide hidden layer never
+holds a sort of all its columns. Rows given as :class:`SortedColumns` are
+presorted once (SLIQ, Mehta et al. 1996) and grow as a forest
+(:func:`grow_forest`): all trees induced from the same rows, as a layer's
+clause-wise substitution trees are, grow together level by level, and a
+level is one segmented scan over the active nodes of every tree, in as
+few passes as the block budget allows. The roots of two-class trees are
+scanned sparsely (SPRINT-style, Shafer et al. 1996) from their minority
+class's value groups, every root in the same passes. Nodes are then
+numbered in preorder, so each tree of a forest equals the tree grown from
+the plain array, node for node.
 
 Every node is scanned once, and a node that holds one class becomes a leaf
 without a scan. At the root, the same gains give both the winnowing
 decision and the split, and the inner nodes scan only the features the
-root kept. The root of a two-class, unit-weight tree over presorted rows is
-scanned sparsely (SPRINT-style, Shafer et al. 1996) from its minority
-class's value groups, in one block of all columns when the class is small,
-with the dense scan's gains bit for bit.
+root kept.
 """
 from __future__ import annotations
 
@@ -84,28 +91,6 @@ class DecisionTree:
     def leaf_count(self) -> int:
         return len(self.leaf_ids())
 
-    def depth(self) -> int:
-        depths = {self.root: 0}
-        worst = 0
-        for i, node in enumerate(self.nodes):
-            d = depths[i]
-            worst = max(worst, d)
-            if not node.is_leaf:
-                depths[node.left] = d + 1
-                depths[node.right] = d + 1
-        return worst
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        out = np.empty(X.shape[0], dtype=int)
-        for r in range(X.shape[0]):
-            i = self.root
-            while not self.nodes[i].is_leaf:
-                node = self.nodes[i]
-                i = node.left if X[r, node.feature] <= node.threshold else node.right
-            out[r] = self.nodes[i].klass
-        return out
-
 
 def _xlogx(a: np.ndarray) -> np.ndarray:
     out = np.zeros(a.shape)
@@ -147,13 +132,30 @@ def _weight_and_entropy(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return total, entropy
 
 
+def _weigh(counts: np.ndarray, tree: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
+    """Class-weighted sizes of the class counts laid out along axis 0, the
+    counts of column j being rows of tree ``tree[j]``, whose class weights
+    are ``weights[tree[j]]`` (all 1 when ``weights`` is None). k rows of
+    weight w weigh w added k times in turn, which is what a cumulative sum
+    or a weighted bincount over the rows adds up, bit for bit."""
+    if weights is None:
+        return counts.astype(float)
+    out = np.empty(counts.shape)
+    for t in np.unique(tree):
+        at = tree == t
+        for c, w in enumerate(weights[t]):
+            k = counts[c, at]
+            out[c, at] = np.cumsum(np.append(0.0, np.full(k.max(), w)))[k]
+    return out
+
+
 def leaf_confidence(correct: int, total: int) -> float:
     """Laplace-corrected purity of a leaf: (correct + 1) / (total + 2)."""
     return (correct + 1) / (total + 2)
 
 
-# Cells (rows x columns) one block of the split scan holds, counted in
-# columns of the full input's height: a larger block lifts the extraction's
+# Cells (rows x columns) one pass of the split scan holds, counted in
+# columns of the full input's height: a larger pass lifts the extraction's
 # peak memory above its forward pass, a smaller one adds numpy call overhead.
 BLOCK_COLUMNS = 3
 
@@ -204,127 +206,118 @@ def sort_columns(X) -> SortedColumns:
 
 
 @dataclass(frozen=True)
-class _Sample:
-    """What every node scan of one tree reads."""
-
-    X: np.ndarray
-    cols: SortedColumns | None  # when the rows were presorted
-    y: np.ndarray
-    w: np.ndarray
-    num_classes: int
-    sparse_root: bool  # presorted, unit weights and both of two classes: see _sparse_root_gains
-
-    def blocks(self, n: int, features: np.ndarray) -> list[np.ndarray]:
-        """``features`` in blocks of at most BLOCK_COLUMNS x len(X) cells,
-        ``n`` cells per column."""
-        width = max(1, BLOCK_COLUMNS * len(self.X) // n)
-        return [features[i:i + width] for i in range(0, len(features), width)]
-
-    def sorted_rows(self, idx: np.ndarray, block: np.ndarray) -> np.ndarray:
-        """The node's rows (``idx``, ascending) in each block column's stable
-        value order, one column per row of the result."""
-        if self.cols is None:
-            return idx[np.argsort(self.X[idx[:, None], block].T, axis=1, kind="stable")]
-        if len(idx) == len(self.X):
-            return self.cols.order[block]
-        member = np.zeros(len(self.X), dtype=bool)
-        member[idx] = True
-        rows = np.empty((len(block), len(idx)), dtype=np.intp)
-        for j, f in enumerate(block):
-            o = self.cols.order[f]
-            rows[j] = o[member[o]]
-        return rows
-
-
-@dataclass(frozen=True)
 class _CutGains:
-    """The candidate cuts of a block of features at one node, in (column,
-    position) order, with their information gains."""
+    """The candidate cuts of one pass's segments, each a node's rows sorted
+    on one feature, in (segment, position) order, with their information
+    gains."""
 
-    n: int  # rows at the node
-    col: np.ndarray  # block column of each candidate
-    pos: np.ndarray  # position of each candidate's last left row in its column's sorted node rows
-    n_candidates: np.ndarray  # per block column
+    n: np.ndarray  # rows at each segment's node
+    entropy: np.ndarray  # class-weighted entropy of each segment's node
+    col: np.ndarray  # segment of each candidate
+    pos: np.ndarray  # position of each candidate's last left row: see _dense_gains and _sparse_gains
+    n_candidates: np.ndarray  # per segment
     gains: np.ndarray
     sizes: np.ndarray  # (2, candidates) class-weighted size of the left and right sides
     total: np.ndarray
 
 
-def _cut_gains(s: _Sample, idx: np.ndarray, block: np.ndarray,
-               parent_entropy: float) -> tuple[_CutGains, np.ndarray]:
-    """Information gain of every candidate cut of the block's features at
-    the node of rows ``idx``, with the node's values sorted per column.
+def _gains(sides: np.ndarray, totals: np.ndarray, col: np.ndarray, tree: np.ndarray,
+           weights: np.ndarray | None, entropy: np.ndarray):
+    """Information gain, side sizes and node size of each candidate cut, from
+    the class counts left of each cut in sides[:, 0] of ``sides`` (classes,
+    2, candidates), which this overwrites, and ``totals`` (classes,
+    segments) of each segment; candidate j cuts segment col[j], of tree
+    tree[col[j]]."""
+    if weights is not None:
+        sides[:, 0] = _weigh(sides[:, 0].astype(np.int64), tree[col], weights)
+    totals = _weigh(totals, tree, weights)
+    np.subtract(totals[:, col], sides[:, 0], out=sides[:, 1])
+    total = _class_sum(totals)[col]
+    sizes, (h_left, h_right) = _weight_and_entropy(sides)
+    return entropy[col] - (sizes[0] * h_left + sizes[1] * h_right) / total, sizes, total
+
+
+def _dense_gains(xs: np.ndarray, ys: np.ndarray, seg_start: np.ndarray, n: np.ndarray, entropy: np.ndarray,
+                 tree: np.ndarray, weights: np.ndarray | None, num_classes: int) -> _CutGains:
+    """Information gain of every candidate cut of segments laid end to end:
+    segment s holds the n[s] rows of one node of tree tree[s], sorted on one
+    feature, from position seg_start[s] of their values ``xs`` and labels
+    ``ys``. A candidate's ``pos`` is its last left row's position in ``xs``.
 
     Candidates sit between adjacent distinct values whose sample groups are
     not pure in the same class; gains are evaluated only there. Each
-    block-sized temporary is deleted once used, which the memory bound of
+    pass-sized temporary is deleted once used, which the memory bound of
     ``BLOCK_COLUMNS`` relies on.
     """
-    rows = s.sorted_rows(idx, block)
-    xs = s.X[rows, block[:, None]]
-    ys = s.y[rows]
-    ws = s.w[rows]
-    del rows
-    b, n = xs.shape
-
+    size = len(xs)
     # flat position of the first row of each group of equal values
-    new_value = np.ones((b, n), dtype=bool)
-    np.not_equal(xs[:, 1:], xs[:, :-1], out=new_value[:, 1:])
+    new_value = np.empty(size, dtype=bool)
+    new_value[0] = True
+    np.not_equal(xs[1:], xs[:-1], out=new_value[1:])
+    new_value[seg_start] = True
     starts = np.flatnonzero(new_value)
     # label changes counted along the rows: two adjacent groups are pure in
     # the same class exactly when no label changes from the first row of
     # the one to the last row of the other
-    np.not_equal(ys[:, 1:], ys[:, :-1], out=new_value[:, 1:])
-    new_value[:, 0] = False
-    changes = np.cumsum(new_value.ravel(), dtype=np.int32)
+    np.not_equal(ys[1:], ys[:-1], out=new_value[1:])
+    changes = np.cumsum(new_value, dtype=np.int32)
     del new_value
-    ends = np.append(starts[1:], b * n) - 1
+    ends = np.append(starts[1:], size) - 1
     keep = changes[ends[1:]] != changes[starts[:-1]]
     del changes, ends
-    if b > 1:
-        # a cut ends every group but a row's last
-        keep[np.searchsorted(starts, np.arange(1, b) * n) - 1] = False
+    # a cut ends every group but a segment's last
+    keep[np.searchsorted(starts, seg_start[1:]) - 1] = False
     cuts = starts[1:][keep] - 1
     del starts, keep
-    col = cuts // n
+    col = np.searchsorted(seg_start, cuts, side="right") - 1
 
-    # per-class cumulative weight along each column: sides[c, 0] holds the
-    # left side of each candidate, sides[c, 1] the right
-    sides = np.empty((s.num_classes, 2, cuts.size))
-    totals = np.empty((s.num_classes, b))
-    for c in range(s.num_classes):
-        cum = ws * (ys == c)
-        np.cumsum(cum, axis=1, out=cum)
-        sides[c, 0] = cum.ravel()[cuts]
-        totals[c] = cum[:, -1]
-        del cum
-    del ys, ws
-    np.subtract(totals[:, col], sides[:, 0], out=sides[:, 1])
-    total = _class_sum(totals)[col]
-    sizes, (h_left, h_right) = _weight_and_entropy(sides)
-    del sides
-    gains = parent_entropy - (sizes[0] * h_left + sizes[1] * h_right) / total
-    np.remainder(cuts, n, out=cuts)
-    return _CutGains(n, col, cuts, np.bincount(col, minlength=b), gains, sizes, total), xs
+    # class counts left of each cut and in each segment, from running
+    # counts; the last class has the rows the others leave
+    sides = np.empty((num_classes, 2, cuts.size))
+    totals = np.empty((num_classes, len(seg_start)), dtype=np.int64)
+    running = np.zeros(size + 1, dtype=np.int32)
+    past, first, seg_end = cuts + 1, seg_start[col], seg_start + n
+    for c in range(num_classes - 1):
+        np.cumsum(ys == c, dtype=np.int32, out=running[1:])
+        np.subtract(running[past], running[first], out=sides[c, 0])
+        np.subtract(running[seg_end], running[seg_start], out=totals[c])
+    del running
+    past -= first
+    np.subtract(past, sides[:-1, 0].sum(axis=0), out=sides[-1, 0])
+    np.subtract(n, totals[:-1].sum(axis=0), out=totals[-1])
+    del past, first
+    gains = _gains(sides, totals, col, tree, weights, entropy)
+    return _CutGains(n, entropy, col, cuts, np.bincount(col, minlength=len(seg_start)), *gains)
 
 
-def _sparse_root_gains(s: _Sample, rows: np.ndarray, block: np.ndarray, parent_entropy: float) -> _CutGains:
-    """:func:`_cut_gains` at the root of a two-class, unit-weight tree over
-    presorted rows, from the value groups of ``rows``, all rows of one class.
+def _sparse_gains(cols: SortedColumns, rows: np.ndarray, seg_start: np.ndarray, features: np.ndarray,
+                  minority: np.ndarray, counts: np.ndarray, entropy: np.ndarray, tree: np.ndarray,
+                  weights: np.ndarray | None) -> _CutGains:
+    """:func:`_dense_gains` at the roots of two-class trees over presorted
+    rows, from value groups: segment s holds the rows of class minority[s]
+    of the root of tree tree[s], from position seg_start[s] of ``rows``, for
+    feature features[s], and counts[:, s] counts that root's classes. A
+    candidate's ``pos`` is its last left row's position in its feature's
+    sorted column.
+
     Two adjacent groups without such a row are pure in the same class, so
     every candidate is a bound of a group holding one. Counts are exact
     integers, so the gains are the dense scan's floats."""
-    n, p, b = len(s.X), len(rows), len(block)
-    # the groups holding one of the rows, ordered per column (disjoint spans
-    # in start order are in end order too), at the first of their rows
-    starts = np.sort(s.cols.start[block[:, None], rows], axis=1).ravel()
-    ends = np.sort(s.cols.end[block[:, None], rows], axis=1).ravel()
-    at = np.flatnonzero(np.append(True, starts[1:] != starts[:-1]) | (np.arange(b * p) % p == 0))
-    col = at // p
+    n, size = len(cols.X), len(rows)
+    segment = np.repeat(np.arange(len(seg_start)), np.diff(np.append(seg_start, size)))
+    # the groups holding one of the rows, ordered per segment (disjoint
+    # spans in start order are in end order too), at the first of their rows
+    f, base = features[segment], segment * (n + 1)
+    starts = np.sort(cols.start[f, rows] + base) - base
+    ends = np.sort(cols.end[f, rows] + base) - base
+    new_group = np.append(True, starts[1:] != starts[:-1])
+    new_group[seg_start] = True
+    at = np.flatnonzero(new_group)
+    col = segment[at]
     lo, hi = starts[at], ends[at]
-    del starts, ends
-    before = at - col * p  # the class's rows in earlier groups of the column
-    inside = np.diff(np.append(at, b * p))
+    del f, base, starts, ends, new_group, segment
+    before = at - seg_start[col]  # the class's rows in earlier groups of the segment
+    inside = np.diff(np.append(at, size))
     full = inside == hi - lo
     # a bound shared by two such groups is one candidate, or none when both
     # groups hold only the class: they are then pure in the same class
@@ -334,58 +327,123 @@ def _sparse_root_gains(s: _Sample, rows: np.ndarray, block: np.ndarray, parent_e
     keep[:-1, 1] &= ~(shared & full[:-1] & full[1:])
     keep = keep.ravel()
     t = np.stack([lo, hi], axis=1).ravel()[keep]  # rows left of each cut
-    left = np.stack([before, before + inside], axis=1).ravel()[keep]
+    mine = np.stack([before, before + inside], axis=1).ravel()[keep]  # of them, the class's
     col = np.repeat(col, 2)[keep]
     del lo, hi, before, inside, full, shared, keep
 
-    # the rows' class, then the other: entropies do not depend on the order
     sides = np.empty((2, 2, t.size))
-    sides[0] = left, p - left
-    sides[1] = t - left, (n - p) - (t - left)
-    del left
+    sides[1, 0] = np.where(minority[col] == 1, mine, t - mine)
+    np.subtract(t, sides[1, 0], out=sides[0, 0])
+    del mine
     t -= 1  # the position of each cut's last left row
-    sizes, (h_left, h_right) = _weight_and_entropy(sides)
-    del sides
-    total = np.full(t.size, float(n))
-    gains = parent_entropy - (sizes[0] * h_left + sizes[1] * h_right) / total
-    return _CutGains(n, col, t, np.bincount(col, minlength=b), gains, sizes, total)
+    gains = _gains(sides, counts, col, tree, weights, entropy)
+    return _CutGains(np.full(len(seg_start), n), entropy, col, t, np.bincount(col, minlength=len(seg_start)), *gains)
 
 
 def _ratios(g: _CutGains) -> np.ndarray:
     """Gain ratio of every candidate, -inf where it is not eligible: only
     cuts with positive gain corrected by log2(T)/N for a feature's T
     candidates are."""
-    adjusted = g.gains - np.log2(g.n_candidates[g.col]) / g.n
+    adjusted = g.gains - np.log2(g.n_candidates[g.col]) / g.n[g.col]
     xlogx = _xlogx(g.sizes)
     split_info = np.log2(g.total) - (xlogx[0] + xlogx[1]) / g.total
     valid = (adjusted > GAIN_EPS) & (split_info > GAIN_EPS) & (g.sizes > 0).all(axis=0)
     return np.where(valid, adjusted / np.maximum(split_info, 1e-300), -np.inf)
 
 
-def _threshold(lo: float, hi: float) -> float:
+def _thresholds(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
-        threshold = (lo + hi) / 2.0
-    if not lo <= threshold < hi:
-        # the midpoint of two adjacent floats rounded up to the larger one,
-        # or overflowed to +-inf; fall back to the lower observed value so
-        # the split still separates
-        threshold = lo
-    return float(threshold)
+        mid = (lo + hi) / 2.0
+    # the midpoint of two adjacent floats rounded up to the larger one, or
+    # overflowed to +-inf: the lower observed value still separates
+    return np.where((lo <= mid) & (mid < hi), mid, lo)
 
 
-def _winnowed(g: _CutGains, parent_entropy: float) -> np.ndarray:
-    """Per block column, whether its best raw gain clears the noise floor."""
+def _winnowed(g: _CutGains) -> np.ndarray:
+    """Per segment, whether its best raw gain clears the noise floor."""
     has = g.n_candidates > 0
     best_raw_gain = np.full(len(has), -np.inf)
     best_raw_gain[has] = np.maximum.reduceat(g.gains, (np.cumsum(g.n_candidates) - g.n_candidates)[has])
     floor = np.minimum(
         np.maximum(
-            WINNOW_ENTROPY_FRACTION * parent_entropy,
+            WINNOW_ENTROPY_FRACTION * g.entropy,
             WINNOW_NOISE_MULTIPLIER * np.log2(g.n_candidates + 1) / g.n,
         ),
-        WINNOW_ENTROPY_CAP * parent_entropy,
+        WINNOW_ENTROPY_CAP * g.entropy,
     )
     return has & (best_raw_gain > floor)
+
+
+def _passes(cells: np.ndarray, budget: int) -> list[tuple[int, int]]:
+    """Consecutive runs of the segments of ``cells`` cells each, as (first,
+    past last), holding at most ``budget`` cells but at least one segment."""
+    runs, first, held = [], 0, 0
+    for i, c in enumerate(cells.tolist()):
+        if held + c > budget and i > first:
+            runs.append((first, i))
+            first, held = i, 0
+        held += c
+    return runs + [(first, len(cells))]
+
+
+def _search(seg_node: np.ndarray, seg_feature: np.ndarray, cells: np.ndarray, budget: int,
+            scan, winnow: bool, num_nodes: int):
+    """The best split of each of ``num_nodes`` nodes over its segments,
+    scanned in passes of at most ``budget`` cells: segment s is node
+    seg_node[s] (non-decreasing) on feature seg_feature[s], of cells[s]
+    rows. ``scan(first, last)`` gives the pass's :class:`_CutGains` and a
+    function from candidate indices to the values either side of each cut.
+
+    Returns each node's split feature (-1 for none) and threshold, and per
+    segment whether it clears the winnow noise floor (all of them when
+    ``winnow`` is false). A split is the first maximum gain ratio among the
+    cleared segments, in (segment, position) order, so ties go to the
+    lowest feature, then the lowest threshold."""
+    best = np.full(num_nodes, -np.inf)
+    feature, threshold = np.full(num_nodes, -1), np.zeros(num_nodes)
+    kept = np.ones(len(cells), dtype=bool)
+    for first, last in _passes(cells, budget):
+        g, values = scan(first, last)
+        if winnow:
+            kept[first:last] = _winnowed(g)
+        ratios = _ratios(g)
+        ratios[~kept[first:last][g.col]] = -np.inf
+        if ratios.size:
+            node = seg_node[first:last][g.col]
+            head = np.flatnonzero(np.append(True, node[1:] != node[:-1]))
+            top = np.maximum.reduceat(ratios, head)
+            hit = np.flatnonzero(ratios == np.repeat(top, np.diff(np.append(head, ratios.size))))
+            hit = hit[np.append(True, node[hit[1:]] != node[hit[:-1]])]  # the first per node
+            better = top > best[node[head]]
+            i, k = hit[better], node[head][better]
+            best[k] = top[better]
+            feature[k] = seg_feature[first:last][g.col[i]]
+            threshold[k] = _thresholds(*values(i))
+        del g, values, ratios  # before the next pass's scan
+    return feature, threshold, kept
+
+
+@dataclass(frozen=True)
+class _Sample:
+    """What every node scan of one tree over a plain array reads."""
+
+    X: np.ndarray
+    y: np.ndarray
+    weights: np.ndarray | None  # (1, classes): the tree's class weights; None for unit weights
+    num_classes: int
+
+
+def _cut_gains(s: _Sample, idx: np.ndarray, block: np.ndarray, parent_entropy: float) -> tuple[_CutGains, np.ndarray]:
+    """:func:`_dense_gains` of the block's features at the node of rows
+    ``idx``, a segment per feature, with the node's values sorted per
+    segment."""
+    n, b = len(idx), len(block)
+    rows = idx[np.argsort(s.X[idx[:, None], block].T, axis=1, kind="stable")]
+    xs = s.X[rows, block[:, None]].ravel()
+    ys = s.y[rows].ravel()
+    del rows
+    return _dense_gains(xs, ys, np.arange(b) * n, np.full(b, n), np.full(b, parent_entropy),
+                        np.zeros(b, dtype=int), s.weights, s.num_classes), xs
 
 
 def _scan(s: _Sample, idx: np.ndarray, features: np.ndarray, parent_entropy: float, winnow: bool):
@@ -394,45 +452,44 @@ def _scan(s: _Sample, idx: np.ndarray, features: np.ndarray, parent_entropy: flo
     ``winnow`` is false) and the best split over those as (feature,
     threshold), or None. The split is the first maximum gain ratio in
     (feature, position) order, so ties go to the lowest feature, then the
-    lowest threshold. The root of a two-class, unit-weight tree over
-    presorted rows is scanned sparsely, from its minority class's rows."""
-    sparse = s.sparse_root and len(idx) == len(s.X)
-    rows = np.flatnonzero(s.y == int(2 * s.y.sum() <= len(s.y))) if sparse else idx
+    lowest threshold."""
     kept, best_ratio, split = features[:0], -np.inf, None
-    for block in s.blocks(2 * len(rows) if sparse else len(idx), features):
-        if sparse:
-            g, xs = _sparse_root_gains(s, rows, block, parent_entropy), None
-        else:
-            g, xs = _cut_gains(s, idx, block, parent_entropy)
-        keep = _winnowed(g, parent_entropy) if winnow else np.ones(len(block), dtype=bool)
+    width = max(1, BLOCK_COLUMNS * len(s.X) // len(idx))
+    for block in (features[i:i + width] for i in range(0, len(features), width)):
+        g, xs = _cut_gains(s, idx, block, parent_entropy)
+        keep = _winnowed(g) if winnow else np.ones(len(block), dtype=bool)
         kept = np.append(kept, block[keep])
         ratios = _ratios(g)
         ratios[~keep[g.col]] = -np.inf
         if ratios.size:
             i = int(np.argmax(ratios))
             if ratios[i] > best_ratio:
-                f, p = int(block[g.col[i]]), g.pos[i]
-                lo, hi = s.X[s.cols.order[f, p:p + 2], f] if xs is None else xs[g.col[i], p:p + 2]
-                best_ratio, split = ratios[i], (f, _threshold(lo, hi))
+                p = g.pos[i]
+                best_ratio, split = ratios[i], (int(block[g.col[i]]), float(_thresholds(xs[p], xs[p + 1])))
         del g, xs, ratios  # before the next block's scan
     return kept, split
 
 
-def _sample(X, y, w, num_classes) -> _Sample:
-    # the narrowest label type keeps the per-block label copies small
+def _sample(X, y, weights, num_classes) -> _Sample:
+    # the narrowest label type keeps the per-pass label copies small
     y = np.asarray(y).astype(np.min_scalar_type(num_classes - 1))
-    if isinstance(X, SortedColumns):
-        sparse = num_classes == 2 and bool((w == 1).all()) and 0 < y.sum() < len(y)
-        return _Sample(X.X, X, y, w, num_classes, sparse)
-    return _Sample(np.atleast_2d(np.asarray(X, dtype=float)), None, y, w, num_classes, False)
+    return _Sample(np.atleast_2d(np.asarray(X, dtype=float)), y,
+                   None if weights is None else np.asarray(weights, dtype=float)[None], num_classes)
 
 
 def winnow_features(X, y: np.ndarray, w: np.ndarray, num_classes: int) -> np.ndarray:
     """Feature pre-selection: keep features whose best standalone root gain
     clears the zero-gain noise floor. Returns the kept feature indices.
-    ``X`` is an array or its :class:`SortedColumns`."""
-    s = _sample(X, y, w, num_classes)
-    parent_entropy = _entropy(np.bincount(s.y, weights=s.w, minlength=num_classes))
+    ``X`` is an array or its :class:`SortedColumns`; ``w`` gives each row
+    its class's weight."""
+    X = X.X if isinstance(X, SortedColumns) else X
+    y, w = np.asarray(y), np.asarray(w, dtype=float)
+    weights = np.zeros(num_classes)
+    weights[y] = w
+    if not (weights[y] == w).all():
+        raise TreeError("row weights must be their classes' weights")
+    s = _sample(X, y, None if (w == 1).all() else weights, num_classes)
+    parent_entropy = _entropy(np.bincount(s.y, weights=w, minlength=num_classes))
     features = np.arange(s.X.shape[1])
     if parent_entropy <= 0:
         return features
@@ -453,7 +510,8 @@ def induce(
     and its children only scan the features it kept.
 
     ``X`` is an array or the :class:`SortedColumns` of one, which trees
-    induced from the same rows share. ``class_weight`` multiplies
+    induced from the same rows share: over those, the tree grows as a
+    forest of one (:func:`grow_forest`). ``class_weight`` multiplies
     per-sample counts inside entropy and majority computations; leaf
     confidences always use raw counts.
     """
@@ -469,12 +527,15 @@ def induce(
     num_classes = max(num_classes, 2)
     if y.min() < 0 or y.max() >= num_classes:
         raise TreeError("label outside [0, num_classes)")
-    if class_weight is None:
-        w = np.ones(X.shape[0])
-    else:
-        w = np.asarray(class_weight, dtype=float)[y]
-    sample = _sample(X if cols is None else cols, y, w, num_classes)
+    if class_weight is not None and len(class_weight) != num_classes:
+        raise TreeError(f"{len(class_weight)} class weights for {num_classes} classes")
+    if cols is not None:
+        y = y.astype(np.min_scalar_type(num_classes - 1))
+        weights = None if class_weight is None else [class_weight]
+        return next(grow_forest(cols, [y], min_samples, weights, winnow, num_classes))
+    sample = _sample(X, y, class_weight, num_classes)
     allowed = np.arange(X.shape[1])  # narrowed by the root's winnowing
+    one_tree = np.zeros(1, dtype=int)
 
     nodes: list[TreeNode] = []
     # stack entries: (sample indices, parent node id, is_left_child)
@@ -489,10 +550,8 @@ def induce(
             else:
                 nodes[parent].right = nid
 
-        ys = y[idx]
-        ws = w[idx]
-        hist = np.bincount(ys, minlength=num_classes).astype(float)
-        whist = np.bincount(ys, weights=ws, minlength=num_classes)
+        hist = np.bincount(y[idx], minlength=num_classes)
+        whist = _weigh(hist[:, None], one_tree, sample.weights)[:, 0]
 
         split = None
         if len(idx) >= min_samples and np.count_nonzero(whist) > 1:
@@ -511,6 +570,250 @@ def induce(
             stack.append((idx[~mask], nid, False))
             stack.append((idx[mask], nid, True))
     return DecisionTree(nodes, num_classes)
+
+
+def _segments(bounds: np.ndarray, spans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions, in arrays laid end to end from ``bounds``, of the given
+    spans laid end to end in turn, and where each span starts among them."""
+    lengths = bounds[spans + 1] - bounds[spans]
+    seg_start = np.cumsum(lengths) - lengths
+    return np.repeat(bounds[spans] - seg_start, lengths) + np.arange(lengths.sum()), seg_start
+
+
+@dataclass
+class _Level:
+    """The nodes of a forest at one depth: each node's tree, size and class
+    counts (classes, nodes), and the rows and labels of the nodes to scan,
+    laid end to end in node order from ``bounds``."""
+
+    tree: np.ndarray
+    n: np.ndarray
+    counts: np.ndarray
+    whist: np.ndarray | None = None  # class-weighted counts
+    scanned: np.ndarray | None = None  # the nodes to scan
+    rows: np.ndarray | None = None
+    labels: np.ndarray | None = None
+    bounds: np.ndarray | None = None
+
+
+class _Forest:
+    """Trees over the same presorted rows, grown together level by level.
+    A level's split children are numbered in pairs, left then right, in the
+    order of their parents."""
+
+    def __init__(self, cols: SortedColumns, ys, min_samples: int, weights: np.ndarray | None, num_classes: int):
+        self.cols, self.X, self.ys = cols, np.ascontiguousarray(cols.X), ys
+        # each row's position in each column's sorted order
+        self.rank = np.empty_like(cols.order)
+        for f, o in enumerate(cols.order):
+            self.rank[f, o] = np.arange(len(o), dtype=self.rank.dtype)
+        self.min_samples, self.weights, self.num_classes = min_samples, weights, num_classes
+        self.budget = BLOCK_COLUMNS * len(cols.X)
+
+    def _weigh(self, level: _Level) -> _Level:
+        """Each node's class-weighted counts, and the nodes to scan: those of
+        ``min_samples`` rows or more holding two classes of nonzero weight."""
+        level.whist = _weigh(level.counts, level.tree, self.weights)
+        level.scanned = np.flatnonzero((level.n >= self.min_samples) & (np.count_nonzero(level.whist, axis=0) > 1))
+        return level
+
+    def _sparse_roots(self, level: _Level, entropy: np.ndarray, winnow: bool):
+        """:func:`_search` of the scanned roots of two-class trees, every
+        feature of every root from the rows of the root's minority class."""
+        roots = level.scanned
+        counts = level.counts[:, roots]
+        minority = (2 * counts[1] <= level.n[roots]).astype(int)
+        rows = np.concatenate([np.flatnonzero(self.ys[t] == c) for t, c in zip(roots, minority)]).astype(np.int32)
+        bounds = np.append(0, np.cumsum(counts[minority, np.arange(len(roots))]))
+        m = self.X.shape[1]
+        seg_node, seg_feature = np.repeat(np.arange(len(roots)), m), np.tile(np.arange(m), len(roots))
+
+        def scan(first, last):
+            node, features = seg_node[first:last], seg_feature[first:last]
+            at, seg_start = _segments(bounds, node)
+            g = _sparse_gains(self.cols, rows[at], seg_start, features, minority[node], counts[:, node],
+                              entropy[node], roots[node], self.weights)
+
+            def values(i):
+                f, p = features[g.col[i]], g.pos[i]
+                return self.X[self.cols.order[f, p], f], self.X[self.cols.order[f, p + 1], f]
+            return g, values
+        # a row of a sparse segment gives up to two candidates, which hold
+        # more than a dense cell: a third of the budget keeps the sparse
+        # passes' peak under the dense ones'
+        return _search(seg_node, seg_feature, np.diff(bounds)[seg_node], self.budget // 3, scan, winnow, len(roots))
+
+    def _dense(self, level: _Level, entropy: np.ndarray, allowed: np.ndarray, winnow: bool):
+        """:func:`_search` of the scanned nodes over their trees' allowed
+        features, each segment's rows sorted by their value groups."""
+        nodes = level.scanned
+        seg_node, seg_feature = np.nonzero(allowed[level.tree[nodes]])
+        n = len(self.X)
+
+        def scan(first, last):
+            node, features = seg_node[first:last], seg_feature[first:last]
+            at, seg_start = _segments(level.bounds, node)
+            lengths = np.diff(np.append(seg_start, len(at)))
+            # each cell's key orders it by segment, then by its row's rank in
+            # the feature's sorted column, and carries its label in the last
+            # digit, so that one sort of the keys gives each segment's rows;
+            # (features, rows) arrays are read flat, at feature * rows + index
+            column = np.repeat(features * n, lengths)
+            base = np.repeat(np.arange(len(node)) * n, lengths)
+            key = base + np.take(self.rank, column + level.rows[at])
+            key *= self.num_classes
+            key += level.labels[at]
+            del at
+            key.sort()
+            ys = (key % self.num_classes).astype(level.labels.dtype)
+            key //= self.num_classes
+            key -= base
+            key += column
+            del base
+            rows = np.take(self.cols.order, key)
+            del key
+            xs = np.take(self.X, rows.astype(np.int64) * self.X.shape[1] + column // n)
+            del rows, column
+            g = _dense_gains(xs, ys, seg_start, level.n[nodes][node], entropy[node], level.tree[nodes][node],
+                             self.weights, self.num_classes)
+            return g, lambda i: (xs[g.pos[i]], xs[g.pos[i] + 1])
+        return _search(seg_node, seg_feature, np.diff(level.bounds)[seg_node], self.budget, scan, winnow, len(nodes))
+
+    def _cells(self, level: _Level, first: int, last: int) -> tuple[np.ndarray, np.ndarray]:
+        """The rows and labels of the level's scanned nodes ``first`` to
+        ``last``, laid end to end: all rows at a root."""
+        if level.rows is None:
+            roots = level.scanned[first:last]
+            return (np.tile(np.arange(len(self.X), dtype=np.int32), len(roots)),
+                    np.concatenate([self.ys[t] for t in roots]))
+        at = slice(level.bounds[first], level.bounds[last])
+        return level.rows[at], level.labels[at]
+
+    def _children(self, level: _Level, feature: np.ndarray, threshold: np.ndarray) -> _Level:
+        """The children of the scanned nodes that split, on ``feature`` at
+        ``threshold`` (-1 for none), with the rows of those to scan. Chunks
+        of whole nodes of at most the pass budget's cells go at a time."""
+        split = feature >= 0
+        lengths = np.diff(level.bounds)
+        first_child = 2 * (np.cumsum(split) - split)
+        parts, rows, labels = [], [], []
+        for first, last in _passes(lengths, self.budget):
+            r, lab = self._cells(level, first, last)
+            node = np.repeat(np.arange(first, last), lengths[first:last])
+            moving = split[node]
+            node, r, lab = node[moving], r[moving], lab[moving]
+            c0, c1 = first_child[first], first_child[last - 1] + 2 * split[last - 1]
+            values = np.take(self.X, r.astype(np.int64) * self.X.shape[1] + feature[node])
+            child = first_child[node] - c0 + (values > threshold[node])
+            del values
+            del node
+            c = self.num_classes
+            counts = np.bincount(child * c + lab, minlength=(c1 - c0) * c).reshape(c1 - c0, c).T
+            part = self._weigh(_Level(np.repeat(level.tree[level.scanned[first:last][split[first:last]]], 2),
+                                      counts.sum(axis=0), counts))
+            scan = np.zeros(c1 - c0, dtype=bool)
+            scan[part.scanned] = True
+            kept = np.flatnonzero(scan[child])
+            # in the narrowest type, which sorts by radix below 2**16
+            kept = kept[np.argsort(child[kept].astype(np.min_scalar_type(c1 - c0)), kind="stable")]
+            rows.append(r[kept])
+            labels.append(lab[kept])
+            part.scanned += c0
+            parts.append(part)
+            del r, lab, child, kept
+        children = _Level(*(np.concatenate([getattr(p, a) for p in parts], axis=-1)
+                            for a in ("tree", "n", "counts", "whist", "scanned")))
+        children.rows, children.labels = np.concatenate(rows), np.concatenate(labels)
+        del rows, labels
+        children.bounds = np.append(0, np.cumsum(children.n[children.scanned]))
+        return children
+
+    def grow(self, winnow: bool):
+        """Yield the trees in order, once all have grown."""
+        c, (n, m), count = self.num_classes, self.X.shape, len(self.ys)
+        counts = np.zeros((c, count), dtype=np.int64)
+        for t in range(count):
+            counts[:, t] = np.bincount(self.ys[t], minlength=c)
+        level = self._weigh(_Level(np.arange(count), np.full(count, n), counts))
+        allowed = np.ones((count, m), dtype=bool)  # narrowed by each root's winnowing
+        level.bounds = np.arange(len(level.scanned) + 1) * n
+        records, first_id, root = [], 0, True
+        while True:
+            entropy = _weight_and_entropy(level.whist[:, level.scanned])[1]
+            if not len(level.scanned):
+                found, found_threshold, kept = np.zeros(0, dtype=int), np.zeros(0), np.zeros(0, dtype=bool)
+            elif root and c == 2:
+                found, found_threshold, kept = self._sparse_roots(level, entropy, winnow)
+            else:
+                if level.rows is None:
+                    level.rows, level.labels = self._cells(level, 0, len(level.scanned))
+                found, found_threshold, kept = self._dense(level, entropy, allowed, winnow and root)
+            if root:
+                seg_node, seg_feature = np.nonzero(allowed[level.scanned])
+                allowed[level.scanned[seg_node], seg_feature] = kept
+
+            size = len(level.n)
+            feature, threshold = np.full(size, -1), np.zeros(size)
+            feature[level.scanned], threshold[level.scanned] = found, found_threshold
+            split = np.flatnonzero(feature >= 0)
+            klass = np.argmax(level.whist, axis=0)
+            confidence = leaf_confidence(level.counts[klass, np.arange(size)], level.n)
+            klass[split], confidence[split] = -1, 0.0
+            left, right = np.full(size, -1), np.full(size, -1)
+            left[split] = first_id + size + 2 * np.arange(len(split))
+            right[split] = left[split] + 1
+            records.append((level.tree, feature, threshold, left, right, klass, confidence, level.n))
+            first_id += size
+            if not len(split):
+                break
+            level, root = self._children(level, found, found_threshold), False
+        yield from self._trees(records)
+
+    def _trees(self, records):
+        """Each tree from its nodes' records, renumbered from level order to
+        preorder, one tree at a time."""
+        tree, *fields = (np.concatenate(field) for field in zip(*records))
+        by_tree = np.argsort(tree, kind="stable")
+        bounds = np.searchsorted(tree[by_tree], np.arange(len(self.ys) + 1))
+        for first, last in zip(bounds[:-1], bounds[1:]):
+            ids = by_tree[first:last]
+            feature, threshold, left, right, klass, confidence, size = (f[ids].tolist() for f in fields)
+            local = dict(zip(ids.tolist(), range(len(ids))))
+            local[-1] = -1
+            left, right = [local[i] for i in left], [local[i] for i in right]
+            order, stack = [], [0]
+            while stack:
+                i = stack.pop()
+                order.append(i)
+                if feature[i] >= 0:
+                    stack += (right[i], left[i])
+            new = {old: k for k, old in enumerate(order)}
+            new[-1] = -1
+            yield DecisionTree([
+                TreeNode(feature[i], threshold[i], new[left[i]], new[right[i]], klass[i], confidence[i], size[i])
+                for i in order
+            ], self.num_classes)
+
+
+def grow_forest(cols: SortedColumns, ys, min_samples: int, class_weights=None, winnow: bool = True,
+                num_classes: int = 2):
+    """Yield one tree per label vector of ``ys``, labels in [0,
+    num_classes), over the same presorted rows: each the tree
+    :func:`induce` grows from that vector, with ``class_weights`` one weight
+    vector per tree, or None. ``ys`` is read tree by tree, so it may build
+    each vector when asked for it.
+
+    The trees grow together, level by level (SLIQ, Mehta et al. 1996). A
+    level scans every (node, feature) segment of every tree's nodes to
+    split, in passes of at most ``BLOCK_COLUMNS`` columns' worth of cells,
+    so a level costs a few numpy calls per pass however many trees and
+    nodes it holds. The roots of two-class trees are scanned sparsely, all
+    of them in the same passes, from their minority class's rows.
+    """
+    if not len(ys):
+        return iter(())
+    weights = None if class_weights is None else np.asarray(class_weights, dtype=float).reshape(len(ys), num_classes)
+    return _Forest(cols, ys, min_samples, weights, num_classes).grow(winnow)
 
 
 def to_ruleset(

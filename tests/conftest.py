@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nnrex import data, evaluation, mlp
+from nnrex import data, evaluation, extract, mlp, rules
 
 
 @pytest.fixture(scope="session")
@@ -71,3 +71,49 @@ def full_layer_outputs(net, x):
         h = mlp._apply_activation(z, layer.activation)
         outs.append(h)
     return [h[0] for h in outs] if squeeze else outs
+
+
+# Oracles for code the library itself no longer needs: a tree walked row by
+# row, a premise evaluated term by term, and eclaire's per-layer rules.
+
+
+def tree_depth(t):
+    """The longest root-to-leaf path of a tree, in edges."""
+    depths = {t.root: 0}
+    worst = 0
+    for i, node in enumerate(t.nodes):
+        d = depths[i]
+        worst = max(worst, d)
+        if not node.is_leaf:
+            depths[node.left] = d + 1
+            depths[node.right] = d + 1
+    return worst
+
+
+def tree_predict(t, X):
+    """The class of the leaf each row of X reaches."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    out = np.empty(X.shape[0], dtype=int)
+    for r in range(X.shape[0]):
+        i = t.root
+        while not t.nodes[i].is_leaf:
+            node = t.nodes[i]
+            i = node.left if X[r, node.feature] <= node.threshold else node.right
+        out[r] = t.nodes[i].klass
+    return out
+
+
+def term_holds(term, x):
+    v = x[term.feature]
+    return v > term.threshold if term.op == rules.OP_GT else v <= term.threshold
+
+
+def eval_premise(premise, x):
+    """True iff every term holds on x; the empty conjunction is true."""
+    return all(term_holds(t, x) for t in premise)
+
+
+def eclaire_layer_rules(net, X, cfg=extract.ExtractionConfig()):
+    """Each selected layer's substituted rules, in layer order, before
+    eclaire unions and canonicalizes them."""
+    return extract._clausewise(net, X, cfg)[1]

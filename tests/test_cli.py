@@ -1,8 +1,12 @@
+import csv
 import dataclasses
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nnrex import cli, data, evaluation, extract, mlp, rules
 
@@ -58,6 +62,25 @@ class TestGenXor:
         want = ["x0,x1,x2,x3,x4,x5,label", ",".join(map(repr, values)) + ",p",
                 ",".join(map(repr, values[::-1])) + ",q"]
         assert out.read_bytes() == ("\r\n".join(want) + "\r\n").encode()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                          | st.sampled_from([5e-324, -0.0, 1.7e308, float(2**53 + 1)]), min_size=2, max_size=2),
+                 min_size=1, max_size=5),
+        st.lists(st.text(st.sampled_from('ab ,"\r\n'), max_size=3), min_size=2, max_size=3, unique=True),
+        st.randoms(use_true_random=False),
+    )
+    def test_writes_what_csv_writer_writes(self, tmp_path_factory, rows, class_names, rand):
+        # class names that hold a comma, a quote or nothing are quoted as
+        # csv quotes them among other fields
+        labels = [rand.randrange(len(class_names)) for _ in rows]
+        ds = data.Dataset(np.array(rows), np.array(labels), ("x1", "x2"), tuple(class_names))
+        out = tmp_path_factory.mktemp("csv") / "rows.csv"
+        cli._write_dataset_csv(ds, out)
+        want = io.StringIO()
+        csv.writer(want).writerows([["x1", "x2", "label"]] + [[*r, class_names[k]] for r, k in zip(rows, labels)])
+        assert out.read_bytes() == want.getvalue().encode()
 
     def test_labels_obey_generator_rule_after_reparse(self, tmp_path):
         out = tmp_path / "xor.csv"

@@ -6,10 +6,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nnrex import data, evaluation, extract, mlp, rules, tree
 from nnrex.rules import OP_GT, Rule, Term, premise_mask
-from conftest import full_layer_outputs, random_net
+from conftest import eclaire_layer_rules, full_layer_outputs, random_net
 
 
 # Truth patterns whose substitution trees are forced to carve one TRUE leaf
@@ -142,7 +144,7 @@ class TestEclaire:
         ))
         X = np.random.default_rng(2).uniform(size=(50, 3))
         # every layer contributes exactly one always-true rule pre-dedup
-        per_layer = extract.eclaire_layer_rules(net, X)
+        per_layer = eclaire_layer_rules(net, X)
         assert [len(contributed) for _, contributed in per_layer] == [1, 1]
         rs = extract.eclaire(net, X)
         assert len(rs.rules) == 1
@@ -153,7 +155,7 @@ class TestEclaire:
     def test_additive_law_holds_per_layer(self, xor_ds, quick_xor_net):
         X = xor_ds.features[:300]
         cfg = extract.ExtractionConfig(min_samples=5)
-        per_layer = extract.eclaire_layer_rules(quick_xor_net, X, cfg)
+        per_layer = eclaire_layer_rules(quick_xor_net, X, cfg)
         yhat = mlp.predict_labels(quick_xor_net, X)
         default = int(np.argmax(np.bincount(yhat)))
         for layer, contributed in per_layer:
@@ -168,9 +170,9 @@ class TestEclaire:
 
     def test_layer_contributions_independent_of_selection(self, xor_ds, quick_xor_net):
         X = xor_ds.features[:300]
-        all_layers = dict(extract.eclaire_layer_rules(
+        all_layers = dict(eclaire_layer_rules(
             quick_xor_net, X, extract.ExtractionConfig(min_samples=5, layer_stride=1)))
-        strided = dict(extract.eclaire_layer_rules(
+        strided = dict(eclaire_layer_rules(
             quick_xor_net, X, extract.ExtractionConfig(min_samples=5, layer_stride=2)))
         assert set(strided) == {1}.union({1 + 2} if quick_xor_net.num_hidden >= 3 else set())
         for layer, contributed in strided.items():
@@ -182,7 +184,7 @@ class TestEclaire:
         cfg = extract.ExtractionConfig(min_samples=5, layer_stride=2)
         default, per_layer = extract._clausewise(quick_xor_net, X, cfg, input_layer=True)
         assert per_layer[0][0] == 0
-        assert per_layer[1:] == extract.eclaire_layer_rules(quick_xor_net, X, cfg)
+        assert per_layer[1:] == eclaire_layer_rules(quick_xor_net, X, cfg)
         union = tuple(r for _, contributed in per_layer for r in contributed)
         assert extract.eclaire_star(quick_xor_net, X, cfg) == rules.canonicalize(
             rules.RuleSet(union, default, quick_xor_net.num_classes))
@@ -216,21 +218,26 @@ class TestEclaire:
 
     def test_substitution_trees_share_one_column_sort(self, xor_ds, quick_xor_net, monkeypatch):
         # every substitution tree of an extraction, over all its layers,
-        # gets the same sorted columns, still through substitute_clause and
-        # its induce
-        seen = []
-        real = extract.induce
+        # gets the same sorted columns, through one forest per layer; induce
+        # grows only the intermediate trees, from plain arrays
+        forests, induced = [], []
+        real_forest, real_induce = extract.grow_forest, extract.induce
 
-        def recording(X, *args, **kwargs):
-            seen.append(X)
-            return real(X, *args, **kwargs)
+        def forest(cols, ys, *args, **kwargs):
+            forests.append(cols)
+            return real_forest(cols, ys, *args, **kwargs)
 
-        monkeypatch.setattr(extract, "induce", recording)
-        per_layer = extract.eclaire_layer_rules(quick_xor_net, xor_ds.features[:300])
-        shared = [X for X in seen if isinstance(X, tree.SortedColumns)]
-        assert len(shared) == len(seen) - len(per_layer)
-        assert len(per_layer) > 1
-        assert len({id(X) for X in shared}) == 1
+        def induce(X, *args, **kwargs):
+            induced.append(X)
+            return real_induce(X, *args, **kwargs)
+
+        monkeypatch.setattr(extract, "grow_forest", forest)
+        monkeypatch.setattr(extract, "induce", induce)
+        per_layer = eclaire_layer_rules(quick_xor_net, xor_ds.features[:300])
+        assert len(forests) == len(induced) == len(per_layer) > 1
+        assert not any(isinstance(X, tree.SortedColumns) for X in induced)
+        assert all(isinstance(cols, tree.SortedColumns) for cols in forests)
+        assert len({id(cols) for cols in forests}) == 1
 
 
 def traced_peak(fn):
@@ -386,6 +393,28 @@ class TestFlatBaselines:
         _, ds = blobs_net_and_data(seed=7)
         rs = extract.c5_direct(ds.features, ds.labels)
         assert evaluation.accuracy(rs, ds.features, ds.labels) >= 99.0
+
+
+class TestDirectCallsCheckTheirConfig:
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["remd", "deepred_star", "pedc5", "c5"]),
+           st.sampled_from(["layer_stride", "rule_drop_pct"]), st.data())
+    def test_unread_knob_refused(self, method, knob, draw):
+        # the clause-wise knobs off their defaults, on a method that never
+        # reads them, called without run_method
+        value = draw.draw(st.integers(2, 9) if knob == "layer_stride"
+                          else st.floats(1e-9, 100.0, allow_nan=False))
+        cfg = extract.ExtractionConfig(min_samples=5, **{knob: value})
+        net = random_net([3, 4, 2], seed=1)
+        X = np.random.default_rng(2).normal(size=(30, 3))
+        call = {
+            "remd": lambda: extract.remd(net, X, cfg),
+            "deepred_star": lambda: extract.deepred_star(net, X, cfg),
+            "pedc5": lambda: extract.pedc5(net, X, cfg),
+            "c5": lambda: extract.c5_direct(X, (X[:, 0] > 0).astype(int), cfg),
+        }[method]
+        with pytest.raises(extract.ExtractError, match=f"method {method} does not read {knob}"):
+            call()
 
 
 class TestRunMethod:

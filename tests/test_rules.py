@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from nnrex import rules
 from nnrex.rules import OP_GT, OP_LE, Rule, RuleSet, Term
+from conftest import eval_premise
 
 
 def rs_of(rule_specs, default=0, num_classes=2, names=None):
@@ -36,22 +37,22 @@ rulesets_strategy = st.builds(
 
 class TestEvalPremise:
     def test_empty_premise_is_true(self):
-        assert rules.eval_premise(frozenset(), np.array([1.0, 2.0]))
+        assert eval_premise(frozenset(), np.array([1.0, 2.0]))
 
     def test_gt_is_strict(self):
         premise = {Term(0, OP_GT, 0.5)}
-        assert not rules.eval_premise(premise, np.array([0.5]))
-        assert rules.eval_premise(premise, np.array([0.5000001]))
+        assert not eval_premise(premise, np.array([0.5]))
+        assert eval_premise(premise, np.array([0.5000001]))
 
     def test_le_is_inclusive(self):
         premise = {Term(0, OP_LE, 0.5)}
-        assert rules.eval_premise(premise, np.array([0.5]))
+        assert eval_premise(premise, np.array([0.5]))
 
     def test_grid_truth_table(self):
         premise = {Term(0, OP_GT, 0.5), Term(1, OP_LE, 0.5)}
         grid = [(0.25, 0.25), (0.25, 0.75), (0.75, 0.25), (0.75, 0.75)]
         expected = [False, False, True, False]
-        got = [rules.eval_premise(premise, np.array(p)) for p in grid]
+        got = [eval_premise(premise, np.array(p)) for p in grid]
         assert got == expected
 
     def test_premise_mask_matches_scalar(self):
@@ -59,7 +60,7 @@ class TestEvalPremise:
         X = rng.uniform(-1, 1, size=(50, 4))
         premise = {Term(0, OP_GT, 0.1), Term(2, OP_LE, 0.3), Term(3, OP_GT, -0.5)}
         mask = rules.premise_mask(premise, X)
-        scalar = np.array([rules.eval_premise(premise, x) for x in X])
+        scalar = np.array([eval_premise(premise, x) for x in X])
         assert np.array_equal(mask, scalar)
 
 
@@ -158,7 +159,7 @@ vote_rows = st.lists(
 
 def reference_vote(rs, x):
     """(predicted class, class scores) for one row from the canonical set."""
-    fired = [r for r in rules.canonicalize(rs).rules if rules.eval_premise(r.premise, x)]
+    fired = [r for r in rules.canonicalize(rs).rules if eval_premise(r.premise, x)]
     if not fired:
         return rs.default_label, np.eye(rs.num_classes)[rs.default_label]
     votes = [sum(r.conclusion == c for r in fired) for c in range(rs.num_classes)]

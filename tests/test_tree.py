@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from nnrex import tree
 from nnrex.rules import premise_mask
+from conftest import tree_depth, tree_predict
 
 
 def random_problem(rng, n_max=200, m_max=8):
@@ -163,7 +164,7 @@ class TestStructuralBounds:
             rs = tree.to_ruleset(t, 0)
 
             assert t.leaf_count() <= n
-            assert t.depth() <= n - 1
+            assert tree_depth(t) <= n - 1
             lengths = [len(r.premise) for r in rs.rules]
             assert max(lengths) <= n - 1
             unique_terms = {term for r in rs.rules for term in r.premise}
@@ -177,7 +178,7 @@ class TestStructuralBounds:
         X, y, L = random_problem(rng, n_max=100)
         t = tree.induce(X, y, 2, num_classes=L, winnow=False)
         rs = tree.to_ruleset(t, 0)
-        pred_tree = t.predict(X)
+        pred_tree = tree_predict(t, X)
         for r in rs.rules:
             mask = premise_mask(r.premise, X)
             assert np.all(pred_tree[mask] == r.conclusion)
@@ -192,7 +193,7 @@ class TestParityDegeneracy:
 
         ds = data.gen_xor(1000, 10, seed=5)
         t = tree.induce(ds.features[:800], ds.labels[:800], 2, num_classes=2)
-        pred = t.predict(ds.features[800:])
+        pred = tree_predict(t, ds.features[800:])
         test_acc = np.mean(pred == ds.labels[800:])
         assert t.leaf_count() <= 3
         assert test_acc < 0.65
@@ -586,3 +587,83 @@ class TestOneScanPerNode:
         root_blocks = [block for s, idx, block, _ in scanned if len(idx) == len(X)]
         assert len(root_blocks) > 1
         assert sorted(np.concatenate(root_blocks).tolist()) == list(range(10))
+
+
+@st.composite
+def forest_cases(draw):
+    """Several label vectors over the same rows, as a layer's substitution
+    trees have: TRUE sets that are disjoint, overlap, are empty or hold one
+    row, or labels of 3 to 9 classes; class weights per tree, tied and
+    constant columns, and duplicate rows."""
+    n = draw(st.integers(2, 60))
+    m = draw(st.integers(1, 3 * tree.BLOCK_COLUMNS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        X = rng.integers(0, draw(st.integers(1, 6)), (n, m)).astype(float)
+    else:
+        X = np.round(rng.normal(size=(n, m)), 1)
+    if draw(st.booleans()):
+        X = X[rng.integers(0, max(1, n // 3), n)]  # duplicate rows
+    if draw(st.booleans()):
+        X[:, draw(st.integers(0, m - 1))] = draw(FINITE)  # a constant column
+    count = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["disjoint", "overlapping", "empty", "one row", "classes"]))
+    if kind == "disjoint":
+        part = rng.integers(0, count, n)
+        ys = [(part == t).astype(int) for t in range(count)]
+    elif kind == "overlapping":
+        ys = [(rng.random(n) < rng.random()).astype(int) for _ in range(count)]
+    elif kind == "empty":
+        ys = [np.zeros(n, dtype=int) if t % 2 else (rng.random(n) < 0.3).astype(int) for t in range(count)]
+    elif kind == "one row":
+        ys = [(np.arange(n) == rng.integers(n)).astype(int) for _ in range(count)]
+    num_classes = draw(st.sampled_from([3, 4, 9])) if kind == "classes" else 2
+    if kind == "classes":
+        ys = [rng.integers(0, num_classes, n) for _ in range(count)]
+    weights = draw(st.none() | st.lists(st.lists(WEIGHTS, min_size=num_classes, max_size=num_classes),
+                                        min_size=count, max_size=count))
+    return X, ys, num_classes, weights, draw(st.booleans()), draw(st.integers(2, 6))
+
+
+class TestForest:
+    @settings(max_examples=200, deadline=None)
+    @given(forest_cases())
+    def test_every_tree_matches_the_reference(self, case):
+        X, ys, num_classes, weights, winnow, min_samples = case
+        trees = list(tree.grow_forest(tree.sort_columns(X), ys, min_samples, weights, winnow, num_classes))
+        assert len(trees) == len(ys)
+        for t, y in enumerate(ys):
+            w = None if weights is None else weights[t]
+            assert node_tuples(trees[t]) == ref_induce(X, y, min_samples, w, winnow, num_classes)
+
+    def test_no_trees(self):
+        assert list(tree.grow_forest(tree.sort_columns(np.zeros((3, 2))), [], 2)) == []
+
+    def test_scans_grow_with_levels_and_cells_not_trees(self, monkeypatch):
+        # a layer's worth of trees, one per cell of a grid over two columns,
+        # like the leaves of an intermediate tree: every level's nodes of
+        # every tree go in passes of at most BLOCK_COLUMNS x N cells, each
+        # but a level's last holding more than two columns' worth
+        rng = np.random.default_rng(3)
+        n, m = 600, 6
+        X = rng.integers(0, 6, (n, m)).astype(float)
+        cell = (X[:, 0] * 6 + X[:, 1]).astype(int)
+        ys = [((cell == c) ^ (rng.random(n) < 0.02)).astype(int) for c in range(36)]
+        scans = []
+        real = tree._dense_gains
+        monkeypatch.setattr(tree, "_dense_gains", lambda *args: scans.append(len(args[0])) or real(*args))
+        trees = list(tree.grow_forest(tree.sort_columns(X), ys, 2, winnow=False))
+
+        cells, scanned = {}, 0  # per depth, the cells of the inner levels' scanned nodes
+        for t in trees:
+            depth = {0: 0}
+            for i, node in enumerate(t.nodes):
+                if not node.is_leaf:
+                    depth[node.left] = depth[node.right] = depth[i] + 1
+                pure = node.confidence == (node.n_samples + 1) / (node.n_samples + 2)
+                if depth[i] and (not node.is_leaf or (node.n_samples >= 2 and not pure)):
+                    cells[depth[i]] = cells.get(depth[i], 0) + node.n_samples * m
+                    scanned += 1
+        assert sum(scans) == sum(cells.values())
+        assert len(scans) <= sum(1 + c // (2 * n) for c in cells.values())
+        assert len(scans) * 3 < scanned

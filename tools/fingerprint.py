@@ -113,16 +113,14 @@ def rule_line(method, ds, net, cfg=extract.ExtractionConfig()) -> str:
     ``peak_live_rules``, or is the guard's layer and count when it fires.
     A config knob that the method does not read gives the refusal."""
     try:
-        extract.check_method(method, cfg)
+        if method not in ("remd", "deepred_star"):
+            rs = extract.run_method(method, ds.features, ds.labels, net, cfg,
+                                    feature_names=ds.feature_names, num_classes=ds.num_classes)
+            return digest(rules.to_json(rs).encode())
+        stats: dict = {}
+        rs = getattr(extract, method)(net, ds.features, cfg, ds.feature_names, RULE_CAP, stats)
     except extract.ExtractError as exc:
         return f"error {exc}"
-    if method not in ("remd", "deepred_star"):
-        rs = extract.run_method(method, ds.features, ds.labels, net, cfg,
-                                feature_names=ds.feature_names, num_classes=ds.num_classes)
-        return digest(rules.to_json(rs).encode())
-    stats: dict = {}
-    try:
-        rs = getattr(extract, method)(net, ds.features, cfg, ds.feature_names, RULE_CAP, stats)
     except extract.ExplosionGuard as exc:
         return f"guard layer={exc.layer} count={exc.rule_count}"
     return f"{digest(rules.to_json(rs).encode())} peak_live_rules={stats['peak_live_rules']}"
