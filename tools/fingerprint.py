@@ -28,6 +28,12 @@ in another checkout fingerprints that checkout. The cases:
 * ``rules.<activation>.three.<method>``: every method under the default
   config on a net with three output classes, all of which it predicts, so
   that the intermediate, ``pedc5`` and ``c5`` trees have three classes.
+* ``train.<activation>.alone`` and ``train.<activation>.stack``: the
+  ``mlp.save`` bytes and the per-epoch ``loss_out`` list of three seeded
+  trainings on the three training splits of one small parity set, trained
+  one by one with ``mlp.train`` and as one stack with ``mlp.train_many``. A
+  checkout without ``train_many`` trains the stack's nets one by one, so
+  both lines compare across checkouts.
 
 Uses the standard library and numpy only, and runs in well under a minute.
 """
@@ -156,8 +162,43 @@ def rule_sets():
             yield f"rules.{activation}.three.{method}", rule_line(method, three, net3)
 
 
+def train_stack(datasets, hidden, activation, cfgs, loss_outs):
+    if hasattr(mlp, "train_many"):
+        return mlp.train_many(datasets, hidden, activation, cfgs, loss_outs)
+    return [mlp.train(ds, hidden, activation, cfg, loss_out)
+            for ds, cfg, loss_out in zip(datasets, cfgs, loss_outs)]
+
+
+def trainings():
+    ds = data.gen_xor(120, 4, 5)
+    # three 80-row splits: 14-row batches, the last one ragged at 10 rows
+    datasets = []
+    for fold in data.stratified_kfold(ds, 3, 5):
+        idx = list(fold.train_indices)
+        datasets.append(data.Dataset(ds.features[idx], ds.labels[idx], ds.feature_names, ds.class_names))
+    cfgs = [mlp.TrainConfig(epochs=6, batch_size=14, seed=5 + f) for f in range(3)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "net.json"
+
+        def line(nets, loss_outs):
+            parts = []
+            for net, losses in zip(nets, loss_outs):
+                mlp.save(net, path)
+                parts += [path.read_bytes(), np.array(losses).tobytes()]
+            return digest(*parts)
+
+        for activation in ("tanh", "relu", "elu"):
+            loss_outs = [[] for _ in cfgs]
+            nets = [mlp.train(d, [8, 4], activation, cfg, losses)
+                    for d, cfg, losses in zip(datasets, cfgs, loss_outs)]
+            yield f"train.{activation}.alone", line(nets, loss_outs)
+            loss_outs = [[] for _ in cfgs]
+            nets = train_stack(datasets, [8, 4], activation, cfgs, loss_outs)
+            yield f"train.{activation}.stack", line(nets, loss_outs)
+
+
 def main() -> None:
-    for source in (folds, csv_files, forward_passes, rule_sets):
+    for source in (folds, csv_files, forward_passes, rule_sets, trainings):
         for case, line in source():
             print(case, line, flush=True)
 
