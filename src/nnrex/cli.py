@@ -210,11 +210,12 @@ def cmd_crossval(args) -> int:
 
     base = _extraction_config(cfg)
     k = cfg.get("k", 5)
-    nets = None
+    nets = note = None
     if "weights" in cfg:
         nets = [mlp.load(cfg["weights"])] * k
-        print(f"note: all {k} folds score the one net in {cfg['weights']}, so the test folds "
-              "are not held out from its training", file=sys.stderr)
+        note = (f"note: all {k} folds score the one net in {cfg['weights']}, so the test folds "
+                "are not held out from its training")
+        print(note, file=sys.stderr)
     grid = (cfg["mu_min"], cfg["mu_max"], cfg.get("mu_step", 1))
     result = evaluation.crossval(
         ds, cfg["method"], grid,
@@ -224,15 +225,16 @@ def cmd_crossval(args) -> int:
 
     out_dir = Path(cfg.get("out_dir", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
-    for rep in result.reports:
-        with open(out_dir / f"report_mu_{rep.mu}.json", "w") as fh:
-            json.dump(rep.to_dict(), fh, indent=2, sort_keys=True)
+    reports = [(f"report_mu_{rep.mu}.json", rep) for rep in result.reports]
+    for name, rep in [*reports, ("best_summary.json", result.best)]:
+        payload = rep.to_dict()
+        if note:
+            payload["held_out"] = False
+        with open(out_dir / name, "w") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    with open(out_dir / "best_summary.json", "w") as fh:
-        json.dump(result.best.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
     table = evaluation.report_table(result.reports)
-    (out_dir / "report_table.txt").write_text(table + "\n")
+    (out_dir / "report_table.txt").write_text(table + "\n" + (note + "\n" if note else ""))
     data.export_folds(result.folds, out_dir / "folds.json")
 
     # feature-usage table of the best report's first-fold rule set

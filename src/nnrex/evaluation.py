@@ -1,10 +1,12 @@
 """Metrics, resource tracking, and the cross-validation harness.
 
 The harness mirrors the reporting protocol of the experiments it
-reproduces: stratified k-fold, where each fold trains its network and then
-extracts rules at every point of a grid of minimum-split values, and a
-summary of the grid point that performed best on the test folds (with an
-optional validation-split selection for honest model choice).
+reproduces: stratified k-fold, where each fold's network is trained on its
+training split and rules are then extracted at every point of a grid of
+minimum-split values, and a summary of the grid point that performed best
+on the test folds (with an optional validation-split selection for honest
+model choice). The k fold networks train together, as one stack of
+:func:`nnrex.mlp.train_many`, before the first extraction.
 """
 from __future__ import annotations
 
@@ -18,7 +20,9 @@ import numpy as np
 
 from .data import Dataset, FoldSplit, stratified_kfold
 from .extract import ExtractionConfig, check_method, run_method
-from .mlp import Mlp, TrainConfig, predict_labels, train
+# ``train`` stays a name of this module for callers that wrap
+# ``evaluation.train``; crossval trains through ``train_many``
+from .mlp import Mlp, TrainConfig, predict_labels, train, train_many  # noqa: F401
 from .rules import RuleSet, predict_batch, rule_stats, score_batch
 
 
@@ -183,13 +187,14 @@ def crossval(
 ) -> CrossvalResult:
     """Stratified k-fold evaluation of one method over a mu grid.
 
-    Fold by fold, a network is trained on the training split (or taken
-    from ``nets``), and rules are then extracted from the training split
-    only at every grid point and scored on the held-out test split. The
-    summary report is the grid point with the best mean test accuracy,
-    mirroring the reported protocol; pass ``select_by="validation"`` to
-    select on a quarter of the training split held out from extraction
-    instead.
+    Every fold's network is trained on its training split (or taken from
+    ``nets``), all k in one :func:`train_many` call, so a diverged training
+    raises before any extraction. Fold by fold, rules are then extracted
+    from the training split only at every grid point and scored on the
+    held-out test split. The summary report is the grid point with the best
+    mean test accuracy, mirroring the reported protocol; pass
+    ``select_by="validation"`` to select on a quarter of the training split
+    held out from extraction instead.
     """
     check_method(method, base_cfg)
     mus = mu_grid(grid)
@@ -206,14 +211,27 @@ def crossval(
         ))
         for cfg in cfgs
     ]
+    train_sets = []
+    for fold in folds:
+        train_idx = np.array(fold.train_indices)
+        assert not set(train_idx) & set(fold.test_indices)
+        train_sets.append(Dataset(ds.features[train_idx], ds.labels[train_idx], ds.feature_names, ds.class_names))
+    if nets is None and method == "c5":
+        nets = [None] * len(folds)
+    elif nets is None:
+        preset = NET_PRESETS[net_preset]
+        train_cfgs = [
+            TrainConfig(epochs=preset.epochs, batch_size=preset.batch_size, seed=seed + f)
+            for f in range(len(folds))
+        ]
+        nets = train_many(train_sets, preset.hidden_sizes, preset.activation, train_cfgs)
+
     fold_rules = [[] for _ in mus]  # per grid point, the rule set of each fold
     val_accuracy = [[] for _ in mus]
-    for f, fold in enumerate(folds):
-        train_idx, test_idx = np.array(fold.train_indices), np.array(fold.test_indices)
-        assert not set(train_idx) & set(test_idx)
-        X_train, y_train = ds.features[train_idx], ds.labels[train_idx]
+    for f, (fold, train_ds) in enumerate(zip(folds, train_sets)):
+        test_idx = np.array(fold.test_indices)
+        X_train, y_train = train_ds.features, train_ds.labels
         X_test, y_test = ds.features[test_idx], ds.labels[test_idx]
-        train_ds = Dataset(X_train, y_train, ds.feature_names, ds.class_names)
         X_extract, y_extract = X_train, y_train
         if select_by == "validation":
             val = stratified_kfold(train_ds, 4, seed)[0]
@@ -221,14 +239,7 @@ def crossval(
             X_extract, y_extract = X_train[extract_idx], y_train[extract_idx]
             X_val, y_val = X_train[val_idx], y_train[val_idx]
 
-        if nets is not None:
-            net = nets[f]
-        elif method == "c5":
-            net = None
-        else:
-            preset = NET_PRESETS[net_preset]
-            train_cfg = TrainConfig(epochs=preset.epochs, batch_size=preset.batch_size, seed=seed + f)
-            net = train(train_ds, preset.hidden_sizes, preset.activation, train_cfg)
+        net = nets[f]
         for cfg, report, rules_f, val_f in zip(cfgs, reports, fold_rules, val_accuracy):
             rs, seconds, peak = measure(
                 lambda: run_method(

@@ -13,6 +13,15 @@ once, with the per-element operations of the textbook per-layer update in
 the same order, so the trained weights are the same floats. Minibatches are
 slices of one shuffled copy of the data per epoch.
 
+:func:`train_many` trains several same-shaped networks, such as the fold
+networks of a cross-validation, as one stack: every parameter, gradient and
+Adam moment gains a leading net axis, and each step runs the same ufunc and
+matmul calls once for the whole stack, which is where most of a small
+network's step time goes. Each network keeps its own random stream,
+shuffle, class weights and loss, and comes out bit for bit as
+:func:`train` makes it alone; :func:`train` is a stack of one, which runs
+on plain 2-D arrays.
+
 Networks are immutable after training or loading and safe to share across
 threads; training mutates a private instance only.
 """
@@ -20,7 +29,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -184,30 +193,38 @@ def _glorot_init(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndar
     return rng.uniform(-limit, limit, size=(fan_out, fan_in))
 
 
-def _loss_and_grads(layers, Xb, yb, sample_w, grads) -> float:
+def _loss_and_grads(layers, Xb, yb, sample_w, grads, index=None):
     """Weighted softmax cross-entropy; its gradient for each layer is
     written into that layer's ``(gW, gb)`` pair of ``grads``.
 
     Loss = sum_i w_i * CE_i / sum_i w_i, so balanced weights reduce to the
-    plain mean.
+    plain mean. Every array may carry leading net axes, with a bias as
+    ``(..., 1, out)``: a stack of nets then takes one step together, each net
+    on its own batch, and gets its own loss. ``index`` is ``np.ix_`` over the
+    shape of ``yb``, which with ``yb`` picks each row's label entry; a caller
+    that loops over batches passes it precomputed.
     """
+    if index is None:
+        index = np.ix_(*map(np.arange, yb.shape))
     hs = [Xb]
     zs = []
     for layer in layers:
-        zs.append(hs[-1] @ layer.weight.T + layer.bias)
-        hs.append(_apply_activation(zs[-1], layer.activation))
+        z = hs[-1] @ layer.weight.swapaxes(-1, -2)
+        z += layer.bias
+        zs.append(z)
+        hs.append(_apply_activation(z, layer.activation))
     # the loss reads the probabilities before delta takes their array over
     delta = hs.pop()
-    rows = np.arange(Xb.shape[0])
-    w_total = sample_w.sum()
-    loss = -(sample_w * np.log(delta[rows, yb] + 1e-12)).sum() / w_total
+    label = (*index, yb)
+    w_total = sample_w.sum(axis=-1, keepdims=True)
+    loss = -(sample_w * np.log(delta[label] + 1e-12)).sum(axis=-1) / w_total[..., 0]
 
-    delta[rows, yb] -= 1.0
-    delta *= (sample_w / w_total)[:, None]
+    delta[label] -= 1.0
+    delta *= (sample_w / w_total)[..., None]
     for k in range(len(layers) - 1, -1, -1):
         gW, gb = grads[k]
-        np.matmul(delta.T, hs[k], out=gW)
-        delta.sum(axis=0, out=gb)
+        np.matmul(delta.swapaxes(-1, -2), hs[k], out=gW)
+        delta.sum(axis=-2, out=gb)
         if k > 0:
             delta = delta @ layers[k].weight
             z = zs[k - 1]
@@ -233,6 +250,30 @@ def train(
     Deterministic for a fixed config seed. Raises :class:`TrainingDiverged`
     when the epoch loss or Adam's squared-gradient average stops being
     finite. Mean per-epoch losses are appended to ``loss_out`` when given.
+    This is :func:`train_many` on one dataset.
+    """
+    return train_many([ds], hidden_sizes, activation, [cfg], None if loss_out is None else [loss_out])[0]
+
+
+def train_many(
+    datasets: list[Dataset],
+    hidden_sizes: list[int] | tuple[int, ...],
+    activation: str,
+    cfgs: list[TrainConfig],
+    loss_outs: list[list[float]] | None = None,
+) -> list[Mlp]:
+    """Train one network per dataset, the i-th with ``cfgs[i]``, and return
+    them in order; each is bit for bit the network :func:`train` returns
+    for its dataset and config, and ``loss_outs[i]`` gets its losses.
+
+    Networks whose datasets have the same shape and whose configs differ in
+    ``seed`` at most take every minibatch step together as one stack: each
+    keeps its own random stream, shuffle, class weights and loss, and the
+    stack pays numpy's per-call costs once per step. Stacks train in the
+    order of their first network. At the end of every epoch each network of
+    the stack is checked, and the first one, in input order, whose loss or
+    Adam's squared-gradient average is non-finite raises
+    :class:`TrainingDiverged` for that epoch.
     """
     if not hidden_sizes:
         raise MlpError("hidden_sizes must be nonempty")
@@ -241,42 +282,77 @@ def train(
             raise MlpError(f"hidden layer sizes must be integers >= 1, got {size!r}")
     if activation not in HIDDEN_ACTIVATIONS:
         raise MlpError(f"unknown activation {activation!r}")
-    rng = np.random.default_rng(cfg.seed)
-    sizes = [ds.num_features, *hidden_sizes, ds.num_classes]
+    if len(cfgs) != len(datasets) or (loss_outs is not None and len(loss_outs) != len(datasets)):
+        raise MlpError("train_many needs one config (and loss list) per dataset")
+    stacks: dict[tuple, list[int]] = {}
+    for i, (ds, cfg) in enumerate(zip(datasets, cfgs)):
+        key = (ds.num_samples, ds.num_features, ds.num_classes, replace(cfg, seed=0))
+        stacks.setdefault(key, []).append(i)
+    nets = [None] * len(datasets)
+    for members in stacks.values():
+        trained = _train_stack(
+            [datasets[i] for i in members], hidden_sizes, activation, [cfgs[i] for i in members],
+            None if loss_outs is None else [loss_outs[i] for i in members],
+        )
+        for i, net in zip(members, trained):
+            nets[i] = net
+    return nets
+
+
+def _train_stack(datasets, hidden_sizes, activation, cfgs, loss_outs) -> list[Mlp]:
+    """Train same-shaped networks whose configs differ in seed at most, each
+    on its dataset, with one minibatch Adam loop."""
+    cfg, k = cfgs[0], len(datasets)
+    # the stack's net axis; a lone net runs on plain 2-D arrays
+    lead = (k,) if k > 1 else ()
+    rngs = [np.random.default_rng(c.seed) for c in cfgs]
+    ds0 = datasets[0]
+    sizes = [ds0.num_features, *hidden_sizes, ds0.num_classes]
     kinds = [activation] * len(hidden_sizes) + ["softmax"]
-    # every W and b is a view into the flat theta, and its gW and gb the same
-    # view into the flat gradient g, so Adam updates all of them with a few
-    # whole-vector ufunc calls per step; m and v are its moments, step and
-    # denom scratch vectors
-    theta = np.zeros(sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes, sizes[1:])))
+    # per net, every W and b is a view into the flat theta, and its gW and gb
+    # the same view into the flat gradient g, so Adam updates all of them
+    # with a few whole-array ufunc calls per step; m and v are its moments,
+    # step and denom scratch arrays
+    theta = np.zeros(lead + (sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes, sizes[1:])),))
     m, v, g, step, denom = (np.zeros_like(theta) for _ in range(5))
-    layers, grads = [], []
+    layers, grads, nets = [], [], [[] for _ in datasets]
     offset = 0
     for fan_in, fan_out, kind in zip(sizes, sizes[1:], kinds):
         end = offset + fan_out * fan_in
-        W = theta[offset:end].reshape(fan_out, fan_in)
-        W[...] = _glorot_init(rng, fan_out, fan_in)
-        layers.append(Layer(W, theta[end : end + fan_out], kind))
-        grads.append((g[offset:end].reshape(fan_out, fan_in), g[end : end + fan_out]))
+        W = theta[..., offset:end].reshape(lead + (fan_out, fan_in))
+        b = theta[..., end : end + fan_out]
+        for net, rng, W_i, b_i in zip(nets, rngs, W.reshape(k, fan_out, fan_in), b.reshape(k, fan_out)):
+            W_i[...] = _glorot_init(rng, fan_out, fan_in)
+            net.append(Layer(W_i, b_i, kind))
+        # the bias on a row axis, which broadcasts over a batch
+        layers.append(Layer(W, b[..., None, :], kind))
+        grads.append((g[..., offset:end].reshape(lead + (fan_out, fan_in)), g[..., end : end + fan_out]))
         offset = end + fan_out
 
-    if cfg.class_weighted:
-        cw = class_weights_from_labels(ds.labels, ds.num_classes)
-    else:
-        cw = np.ones(ds.num_classes)
-    weights = cw[ds.labels]
+    features = [ds.features for ds in datasets]
+    labels = [ds.labels for ds in datasets]
+    weights = []
+    for ds, c in zip(datasets, cfgs):
+        cw = class_weights_from_labels(ds.labels, ds.num_classes) if c.class_weighted else np.ones(ds.num_classes)
+        weights.append(cw[ds.labels])
 
     b1, b2 = cfg.beta1, cfg.beta2
     t = 0
-    n = ds.num_samples
+    n, size = ds0.num_samples, cfg.batch_size
+    # the label index of a full batch and of a ragged last one
+    index = {nb: np.ix_(*(np.arange(d) for d in lead + (nb,))) for nb in (min(size, n), n % size or size)}
     for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        X, y, w = ds.features[order], ds.labels[order], weights[order]
+        order = [rng.permutation(n) for rng in rngs]
+        X, y, w = (np.stack([a[o] for a, o in zip(arrays, order)]) for arrays in (features, labels, weights))
+        if not lead:
+            X, y, w = X[0], y[0], w[0]
         epoch_loss = 0.0
-        for start in range(0, n, cfg.batch_size):
-            batch = slice(start, start + cfg.batch_size)
-            loss = _loss_and_grads(layers, X[batch], y[batch], w[batch], grads)
-            epoch_loss += loss * len(y[batch])
+        for start in range(0, n, size):
+            batch = slice(start, start + size)
+            yb = y[..., batch]
+            nb = yb.shape[-1]
+            loss = _loss_and_grads(layers, X[..., batch, :], yb, w[..., batch], grads, index[nb])
+            epoch_loss += loss * nb
             t += 1
             # each Adam line keeps the per-layer formula's operation order,
             # so the floats are equal
@@ -290,14 +366,17 @@ def train(
             denom += cfg.epsilon
             step /= denom
             theta -= step
-        if not np.isfinite(epoch_loss):
-            raise TrainingDiverged(epoch)
-        # an overflowed g**2 leaves v at inf and every later step at 0
-        if not np.isfinite(v).all():
-            raise TrainingDiverged(epoch, "Adam's squared-gradient average")
-        if loss_out is not None:
-            loss_out.append(epoch_loss / n)
-    return Mlp(tuple(layers))
+        finite_v = np.isfinite(v).reshape(k, -1).all(axis=1)
+        for finite_loss, finite_v_i in zip(np.isfinite(epoch_loss).reshape(k), finite_v):
+            if not finite_loss:
+                raise TrainingDiverged(epoch)
+            # an overflowed g**2 leaves v at inf and every later step at 0
+            if not finite_v_i:
+                raise TrainingDiverged(epoch, "Adam's squared-gradient average")
+        if loss_outs is not None:
+            for loss_out, mean_loss in zip(loss_outs, np.reshape(epoch_loss / n, k)):
+                loss_out.append(mean_loss)
+    return [Mlp(tuple(net)) for net in nets]
 
 
 def save(net: Mlp, path) -> None:

@@ -365,10 +365,13 @@ class TestCrossvalCommand:
         assert (out / "report_mu_2.json").exists()
         assert (out / "report_mu_3.json").exists()
         assert (out / "best_summary.json").exists()
-        # rendered once, written to the file and printed
+        # rendered once, written to the file and printed; from a weights
+        # file, the file ends with the stderr note
         assert len(tables) == 1
-        assert (out / "report_table.txt").read_text() == tables[0] + "\n"
-        assert capsys.readouterr().out.startswith(tables[0] + "\n\nbest mu: ")
+        captured = capsys.readouterr()
+        assert captured.err.startswith("note: ")
+        assert (out / "report_table.txt").read_text() == tables[0] + "\n" + captured.err
+        assert captured.out.startswith(tables[0] + "\n\nbest mu: ")
         assert (out / "folds.json").exists()
         usage = (out / "feature_usage.csv").read_text().strip().split("\n")
         assert usage[0] == "feature,fraction_of_rules"
@@ -434,23 +437,25 @@ class TestCrossvalCommand:
         }
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
-        original = mlp.train
+        original = mlp.train_many
         calls = []
 
-        def counting_train(*args, **kwargs):
-            calls.append(args[3].seed)
+        def counting_train_many(*args, **kwargs):
+            calls.append([cfg.seed for cfg in args[3]])
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(mlp, "train", counting_train)
-        monkeypatch.setattr(evaluation, "train", counting_train)
+        # one call trains the k nets; mlp.train goes through mlp.train_many too
+        monkeypatch.setattr(mlp, "train_many", counting_train_many)
+        monkeypatch.setattr(evaluation, "train_many", counting_train_many)
         assert run(["crossval", "--config", str(cfg_path)]) == 0
-        assert calls == [5, 6, 7]
-        # rules_best.json is what a fresh fold-0 net gives at the best mu
+        assert calls == [[5, 6, 7]]
+        monkeypatch.undo()
+        # rules_best.json is what a fold-0 net trained alone gives at the best mu
         ds = data.load_csv(small_csv, "label")
         fold = data.stratified_kfold(ds, 3, 5)[0]
         idx = list(fold.train_indices)
         preset = evaluation.NET_PRESETS["xor"]
-        net0 = original(
+        net0 = mlp.train(
             data.Dataset(ds.features[idx], ds.labels[idx], ds.feature_names, ds.class_names),
             preset.hidden_sizes, preset.activation,
             mlp.TrainConfig(epochs=preset.epochs, batch_size=preset.batch_size, seed=5),
@@ -491,6 +496,29 @@ class TestCrossvalCommand:
             err = capsys.readouterr().err
             assert err.count("note: ") == notes
             assert ("not held out" in err) == bool(notes)
+
+    def test_reports_from_a_weights_file_say_the_test_folds_are_not_held_out(
+        self, small_csv, small_weights, tmp_path, capsys
+    ):
+        config = {"task": f"csv:{small_csv}", "method": "pedc5", "mu_min": 4, "mu_max": 5, "k": 3}
+        names = ("report_mu_4.json", "report_mu_5.json", "best_summary.json")
+        keys, tables, errs = {}, {}, {}
+        for source in ({"weights": small_weights}, {"net_preset": "xor"}):
+            kind = next(iter(source))
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps({**config, **source, "out_dir": str(tmp_path / kind)}))
+            assert run(["crossval", "--config", str(cfg_path)]) == 0
+            errs[kind] = capsys.readouterr().err
+            reports = [json.loads((tmp_path / kind / name).read_text()) for name in names]
+            keys[kind] = [set(report) for report in reports]
+            if kind == "weights":
+                assert all(report["held_out"] is False for report in reports)
+            tables[kind] = (tmp_path / kind / "report_table.txt").read_text().splitlines()
+        # a preset run's reports carry no such key and its table no note
+        assert keys["weights"] == [k | {"held_out"} for k in keys["net_preset"]]
+        assert all("held_out" not in k for k in keys["net_preset"])
+        assert tables["weights"][-1] == errs["weights"].strip() and tables["weights"][-1].startswith("note: ")
+        assert errs["net_preset"] == "" and tables["net_preset"][-1].startswith("pedc5")
 
     def test_unknown_key_is_config_error(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -222,21 +222,25 @@ class TestCrossval:
         assert calls == [3, 4, 4, 4]
 
     def test_each_fold_trains_its_net_then_extracts_at_every_grid_point(self, monkeypatch):
-        calls = []
+        # one training call for all k fold nets, then the extractions fold
+        # by fold, each from its own fold's net
+        calls, trained = [], []
         real_run = evaluation.run_method
 
-        def recording_train(train_ds, hidden_sizes, activation, cfg):
-            calls.append("train")
-            return random_net([train_ds.num_features, 4, train_ds.num_classes], activation, cfg.seed)
+        def recording_train(train_sets, hidden_sizes, activation, cfgs):
+            calls.append(("train", [cfg.seed for cfg in cfgs]))
+            trained.extend(random_net([d.num_features, 4, d.num_classes], activation, cfg.seed)
+                           for d, cfg in zip(train_sets, cfgs))
+            return list(trained)
 
-        def recording_run(*args, **kwargs):
-            calls.append("run")
-            return real_run(*args, **kwargs)
+        def recording_run(method, X, y, net, *args, **kwargs):
+            calls.append(("run", next(f for f, fold_net in enumerate(trained) if fold_net is net)))
+            return real_run(method, X, y, net, *args, **kwargs)
 
-        monkeypatch.setattr(evaluation, "train", recording_train)
+        monkeypatch.setattr(evaluation, "train_many", recording_train)
         monkeypatch.setattr(evaluation, "run_method", recording_run)
         evaluation.crossval(tiny_blobs(seed=6), "pedc5", (2, 3, 1), net_preset="xor", k=3, seed=0)
-        assert calls == ["train", "run", "run"] * 3
+        assert calls == [("train", [0, 1, 2])] + [("run", f) for f in range(3) for _ in range(2)]
 
     def test_empty_grid_rejected(self):
         ds = tiny_blobs(seed=4)
@@ -254,7 +258,7 @@ class TestCrossval:
             raise AssertionError("crossval went on past a knob its method does not read")
 
         monkeypatch.setattr(evaluation, "stratified_kfold", fail)
-        monkeypatch.setattr(evaluation, "train", fail)
+        monkeypatch.setattr(evaluation, "train_many", fail)
         cfg = extract.ExtractionConfig(**{knob: value})
         with pytest.raises(extract.ExtractError, match=f"method remd does not read {knob}"):
             evaluation.crossval(tiny_blobs(seed=4), "remd", (25, 26, 1), net_preset="xor", k=3, base_cfg=cfg)

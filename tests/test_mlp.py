@@ -389,6 +389,120 @@ class TestTrainOracle:
         assert got.value.epoch == want.value.epoch
 
 
+def _random_dataset(seed, n, features, classes):
+    rng = np.random.default_rng(seed)
+    return data.Dataset(
+        rng.normal(size=(n, features)),
+        rng.integers(0, classes, n),
+        tuple(f"x{i}" for i in range(features)),
+        tuple(f"c{i}" for i in range(classes)),
+    )
+
+
+def _train_alone(ds, hidden, activation, cfg):
+    """``mlp.train``'s net and losses, or the TrainingDiverged it raised."""
+    losses = []
+    try:
+        return mlp.train(ds, hidden, activation, cfg, loss_out=losses), losses
+    except mlp.TrainingDiverged as exc:
+        return exc
+
+
+class TestTrainManyOracle:
+    """``train_many`` against ``mlp.train`` on each dataset alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(1, 40),
+        extra_rows=st.integers(1, 9),
+        # per net: whether it gets the extra rows, and class weighting
+        nets=st.lists(st.tuples(st.booleans(), st.booleans()), min_size=1, max_size=4),
+        features=st.integers(1, 5),
+        classes=st.integers(2, 4),
+        hidden=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+        activation=st.sampled_from(mlp.HIDDEN_ACTIVATIONS),
+        batch_size=st.integers(1, 48),
+        epochs=st.integers(1, 3),
+        diverging=st.one_of(st.none(), st.integers(0, 3)),
+    )
+    @example(seed=3, n=23, extra_rows=1, nets=[(False, True)] * 3, features=3, classes=3, hidden=[5, 4],
+             activation="tanh", batch_size=8, epochs=2, diverging=None)  # one stack, ragged last batch
+    @example(seed=4, n=10, extra_rows=2, nets=[(False, False), (True, False), (False, False), (True, True)],
+             features=2, classes=2, hidden=[3], activation="elu", batch_size=32, epochs=3,
+             diverging=None)  # unequal row counts, batches larger than n
+    @example(seed=5, n=30, extra_rows=1, nets=[(False, True)] * 3, features=2, classes=2, hidden=[4, 4],
+             activation="relu", batch_size=8, epochs=3, diverging=1)
+    def test_nets_and_losses_match_training_alone(
+        self, seed, n, extra_rows, nets, features, classes, hidden, activation, batch_size, epochs, diverging
+    ):
+        datasets, cfgs = [], []
+        for i, (more_rows, class_weighted) in enumerate(nets):
+            datasets.append(_random_dataset(seed + i, n + extra_rows * more_rows, features, classes))
+            # at most one net gets a rate that can diverge, in a stack of its own
+            rate = 1e200 if diverging == i else 1e-3
+            cfgs.append(mlp.TrainConfig(epochs=epochs, batch_size=batch_size, seed=seed + i,
+                                        class_weighted=class_weighted, learning_rate=rate))
+        with np.errstate(over="ignore", invalid="ignore"):
+            alone = [_train_alone(ds, hidden, activation, cfg) for ds, cfg in zip(datasets, cfgs)]
+            errors = [out for out in alone if isinstance(out, mlp.TrainingDiverged)]
+            if errors:
+                with pytest.raises(mlp.TrainingDiverged) as got:
+                    mlp.train_many(datasets, hidden, activation, cfgs)
+                assert (got.value.epoch, str(got.value)) == (errors[0].epoch, str(errors[0]))
+                return
+            losses = [[] for _ in datasets]
+            stacked = mlp.train_many(datasets, hidden, activation, cfgs, losses)
+        for net, got_losses, (want, want_losses) in zip(stacked, losses, alone):
+            for layer, want_layer in zip(net.layers, want.layers, strict=True):
+                assert np.array_equal(layer.weight, want_layer.weight)
+                assert np.array_equal(layer.bias, want_layer.bias)
+            assert got_losses == want_losses
+
+    @pytest.mark.parametrize("scales, want", [
+        # a later net that diverges at an earlier epoch is the one reported
+        ((1.0, 1e-300, 1e300, 1e200), "Adam's squared-gradient average became non-finite at epoch 0"),
+        # at the same epoch, the first net in input order is
+        ((1e-300, 1.0), "Adam's squared-gradient average became non-finite at epoch 1"),
+        ((1.0, 1e-300), "training loss became non-finite at epoch 1"),
+    ])
+    def test_first_diverging_net_of_a_stack_raises_at_its_epoch(self, scales, want):
+        # one stack, every net at a rate that diverges, with features scaled
+        # so that they diverge at different epochs and in different ways
+        datasets = []
+        for s, scale in enumerate(scales):
+            ds = _random_dataset(1, 30, 2, 2)
+            datasets.append(data.Dataset(ds.features * scale, ds.labels, ds.feature_names, ds.class_names))
+        cfgs = [mlp.TrainConfig(epochs=4, batch_size=30, seed=s, learning_rate=1e200) for s in range(len(scales))]
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            alone = [_train_alone(ds, [4, 4], "relu", cfg) for ds, cfg in zip(datasets, cfgs)]
+            with pytest.raises(mlp.TrainingDiverged) as got:
+                mlp.train_many(datasets, [4, 4], "relu", cfgs)
+        # min keeps the first of equal epochs
+        first = min(alone, key=lambda exc: exc.epoch)
+        assert str(got.value) == str(first) == want
+        assert got.value.epoch == first.epoch
+
+    def test_only_same_shaped_nets_with_seed_only_config_differences_share_a_stack(self, monkeypatch):
+        stacks = []
+        real = mlp._train_stack
+
+        def recording(datasets, *args):
+            stacks.append([ds.num_samples for ds in datasets])
+            return real(datasets, *args)
+
+        monkeypatch.setattr(mlp, "_train_stack", recording)
+        datasets = [_random_dataset(s, rows, 3, 2) for s, rows in enumerate((20, 21, 20, 20, 21))]
+        cfgs = [mlp.TrainConfig(epochs=1, seed=s, class_weighted=s != 3) for s in range(5)]
+        nets = mlp.train_many(datasets, [4], "tanh", cfgs)
+        assert stacks == [[20, 20], [21, 21], [20]]
+        assert len(nets) == 5
+
+    def test_one_config_per_dataset_required(self):
+        with pytest.raises(mlp.MlpError, match="one config"):
+            mlp.train_many([blobs_dataset()] * 2, [3], "tanh", [mlp.TrainConfig(epochs=1)])
+
+
 class TestSaveLoad:
     def test_round_trip_is_exact(self, tmp_path):
         net = random_net([4, 6, 3], activation="elu", seed=5)
