@@ -55,6 +55,8 @@ GAIN_EPS = 1e-12
 # Winnow noise floor: a root split must beat both a small fraction of the
 # label entropy and the expected best chance gain over T candidate cuts,
 # capped at half the root entropy so perfect splits on tiny samples survive.
+# Both entropy terms use the root entropy bounded by 1 bit, the most a binary
+# split can gain, so the floor does not grow with the class count.
 WINNOW_ENTROPY_FRACTION = 0.05
 WINNOW_NOISE_MULTIPLIER = 3.0
 WINNOW_ENTROPY_CAP = 0.5
@@ -364,12 +366,13 @@ def _winnowed(g: _CutGains) -> np.ndarray:
     has = g.n_candidates > 0
     best_raw_gain = np.full(len(has), -np.inf)
     best_raw_gain[has] = np.maximum.reduceat(g.gains, (np.cumsum(g.n_candidates) - g.n_candidates)[has])
+    entropy = np.minimum(g.entropy, 1.0)
     floor = np.minimum(
         np.maximum(
-            WINNOW_ENTROPY_FRACTION * g.entropy,
+            WINNOW_ENTROPY_FRACTION * entropy,
             WINNOW_NOISE_MULTIPLIER * np.log2(g.n_candidates + 1) / g.n,
         ),
-        WINNOW_ENTROPY_CAP * g.entropy,
+        WINNOW_ENTROPY_CAP * entropy,
     )
     return has & (best_raw_gain > floor)
 

@@ -28,6 +28,10 @@ in another checkout fingerprints that checkout. The cases:
 * ``rules.<activation>.three.<method>``: every method under the default
   config on a net with three output classes, all of which it predicts, so
   that the intermediate, ``pedc5`` and ``c5`` trees have three classes.
+* ``rules.<activation>.ten.<method>``: every method under the default
+  config on a net with ten output classes, on 300 rows in ten equal
+  classes, so that the trees' roots hold more than 1 bit of label entropy
+  and winnowing's floor, which bounds that entropy by 1 bit, shows.
 * ``train.<activation>.alone`` and ``train.<activation>.stack``: the
   ``mlp.save`` bytes and the per-epoch ``loss_out`` list of three seeded
   trainings on the three training splits of one small parity set, trained
@@ -149,6 +153,11 @@ def rule_sets():
     tied = data.Dataset(np.round(X, 1), ds.labels, ds.feature_names, ds.class_names)
     three = data.Dataset(X, np.digitize(X[:, 0] + X[:, 1], [-0.5, 0.5]), ds.feature_names,
                          ("low", "mid", "high"))
+    X10 = np.random.default_rng(3).normal(0.0, 1.0, size=(300, 4))
+    # the deciles of a weighted sum, 30 rows each; x2 and x3 carry less of
+    # the signal, which a winnowing floor can keep or drop
+    ranks = np.argsort(np.argsort(X10[:, 0] + X10[:, 1] + 0.5 * X10[:, 2] + 0.25 * X10[:, 3]))
+    ten = data.Dataset(X10, ranks * 10 // 300, ds.feature_names, tuple(f"c{i}" for i in range(10)))
     for activation in ("tanh", "relu", "elu"):
         net = random_net([4, 8, 4, 2], activation, seed=3)
         for name, cfg in CONFIGS.items():
@@ -160,6 +169,10 @@ def rule_sets():
         net3 = random_net([4, 8, 4, 3], activation, seed=26)
         for method in extract.METHOD_NAMES:
             yield f"rules.{activation}.three.{method}", rule_line(method, three, net3)
+        # seed 27 predicts six or more of the ten classes on 10 rows or more
+        net10 = random_net([4, 8, 10, 10], activation, seed=27)
+        for method in extract.METHOD_NAMES:
+            yield f"rules.{activation}.ten.{method}", rule_line(method, ten, net10)
 
 
 def train_stack(datasets, hidden, activation, cfgs, loss_outs):
