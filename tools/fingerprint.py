@@ -32,6 +32,12 @@ in another checkout fingerprints that checkout. The cases:
   config on a net with ten output classes, on 300 rows in ten equal
   classes, so that the trees' roots hold more than 1 bit of label entropy
   and winnowing's floor, which bounds that entropy by 1 bit, shows.
+* ``xor.<config>.<method>``: ``eclaire``, ``eclaire_star`` and ``pedc5``
+  at mu=2 on the seeded XOR-preset net (64-32-16, tanh) trained on
+  ``gen_xor(800, 10, 1)``, over those 800 rows, under the ``default``,
+  ``drop30``, ``sample0.6`` and ``weighted`` configs: trees over hundreds
+  of rows and up to 64 columns, whose nodes span several blocks of the
+  split scan.
 * ``train.<activation>.alone`` and ``train.<activation>.stack``: the
   ``mlp.save`` bytes and the per-epoch ``loss_out`` list of three seeded
   trainings on the three training splits of one small parity set, trained
@@ -54,7 +60,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from nnrex import cli, data, extract, mlp, rules  # noqa: E402
+from nnrex import cli, data, evaluation, extract, mlp, rules  # noqa: E402
 
 CONFIGS = {
     "default": extract.ExtractionConfig(),
@@ -175,6 +181,16 @@ def rule_sets():
             yield f"rules.{activation}.ten.{method}", rule_line(method, ten, net10)
 
 
+def xor_rule_sets():
+    ds = data.gen_xor(800, 10, 1)
+    preset = evaluation.NET_PRESETS["xor"]
+    net = mlp.train(ds, preset.hidden_sizes, preset.activation,
+                    mlp.TrainConfig(epochs=preset.epochs, batch_size=preset.batch_size, seed=1))
+    for name in ("default", "drop30", "sample0.6", "weighted"):
+        for method in ("eclaire", "eclaire_star", "pedc5"):
+            yield f"xor.{name}.{method}", rule_line(method, ds, net, CONFIGS[name])
+
+
 def train_stack(datasets, hidden, activation, cfgs, loss_outs):
     if hasattr(mlp, "train_many"):
         return mlp.train_many(datasets, hidden, activation, cfgs, loss_outs)
@@ -211,7 +227,7 @@ def trainings():
 
 
 def main() -> None:
-    for source in (folds, csv_files, forward_passes, rule_sets, trainings):
+    for source in (folds, csv_files, forward_passes, rule_sets, xor_rule_sets, trainings):
         for case, line in source():
             print(case, line, flush=True)
 
