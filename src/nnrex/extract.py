@@ -19,8 +19,10 @@ Every network method first labels the rows with one streamed pass of the
 network, which holds one layer's activations at a time, and then subsamples
 them. ``pedc5`` needs nothing more. ``eclaire`` streams the kept rows once
 more, up to its last selected layer, and keeps of each layer only the
-intermediate rules and the rows where their premises hold, so the
-substitution trees run beside those and no activations. A layer's
+intermediate rules and the rows where their premises hold: the rows that
+reach each rule's leaf, from one walk of the intermediate tree
+(:func:`~nnrex.tree.leaf_rows`). So the substitution trees run beside those
+and no activations, and no intermediate premise is built. A layer's
 substitution trees share one sort of the input's columns, made once per
 extraction, and grow together level by level as one forest
 (:func:`~nnrex.tree.grow_forest`). The term-wise methods read two adjacent
@@ -52,7 +54,7 @@ from .rules import (
     drop_low_confidence,
     premise_mask,
 )
-from .tree import SortedColumns, grow_forest, induce, sort_columns, to_ruleset
+from .tree import SortedColumns, grow_forest, induce, leaf_rows, sort_columns, to_ruleset
 
 METHOD_NAMES = ("eclaire", "eclaire_star", "remd", "deepred_star", "pedc5", "c5")
 
@@ -268,18 +270,17 @@ def _premise_truths(net: Mlp, X: np.ndarray, labels: np.ndarray, default: int,
     for layer, H in enumerate(_finite(stream_layers(net, X))):
         if layer in selected:
             tree = induce(H, labels, cfg.min_samples, weights, cfg.winnow, net.num_classes)
-            intermediate = drop_low_confidence(to_ruleset(tree, default), cfg.rule_drop_pct).rules
+            # a rule's premise holds exactly on the rows that reach its leaf;
             # substitution reads a rule's conclusion and confidence only, so
-            # the premise goes once its truth is known; a layer's premises
-            # nearly partition the rows, so their row indices together take
-            # about one index per row
-            out.append((layer, [
-                (Rule(frozenset(), rule.conclusion, rule.confidence),
-                 np.flatnonzero(premise_mask(rule.premise, H)))
-                for rule in intermediate
-            ]))
+            # no premise is built. The rules that drop_low_confidence keeps
+            # are the objects it was given, which find their rows by identity
+            leaves = leaf_rows(tree, H)
+            rules = tuple(Rule(frozenset(), leaf.klass, leaf.confidence) for leaf, _ in leaves)
+            rows = {id(rule): r for rule, (_, r) in zip(rules, leaves)}
+            kept = drop_low_confidence(RuleSet(rules, default, net.num_classes), cfg.rule_drop_pct).rules
+            out.append((layer, [(rule, rows[id(rule)]) for rule in kept]))
             # nothing of this layer but its truths may outlive it
-            del tree, intermediate
+            del tree, leaves, rules, rows, kept
         if layer == selected[-1]:
             return out
 

@@ -24,9 +24,15 @@ running sum over the rows adds up to. A pass holds at most
 ``BLOCK_COLUMNS`` columns of the input's full height, so the scan's memory
 grows with the input but stays a few columns' worth.
 
-A tree over a plain array grows one node at a time, each node's rows
-sorted per block of features, so a tree over a wide hidden layer never
-holds a sort of all its columns. Rows given as :class:`SortedColumns` are
+A tree over a plain array grows one node at a time and sorts each column
+once (SPRINT's attribute lists, Shafer et al. 1996): the root sorts its
+rows per block of features and keeps each kept feature's order, in the
+narrowest unsigned type that indexes the rows, and a split hands each child
+its share of its parent's orders by a stable partition. Inner nodes gather
+their values through those orders and never sort. A parent's orders are
+freed once it has split, and the nodes waiting to grow hold disjoint rows,
+so a tree holds at most twice its root's orders. Rows given as
+:class:`SortedColumns` are
 presorted once (SLIQ, Mehta et al. 1996) and grow as a forest
 (:func:`grow_forest`): all trees induced from the same rows, as a layer's
 clause-wise substitution trees are, grow together level by level, and a
@@ -436,41 +442,74 @@ class _Sample:
     num_classes: int
 
 
-def _cut_gains(s: _Sample, idx: np.ndarray, block: np.ndarray, parent_entropy: float) -> tuple[_CutGains, np.ndarray]:
-    """:func:`_dense_gains` of the block's features at the node of rows
-    ``idx``, a segment per feature, with the node's values sorted per
-    segment."""
-    n, b = len(idx), len(block)
-    rows = idx[np.argsort(s.X[idx[:, None], block].T, axis=1, kind="stable")]
+def _index_type(n: int) -> np.dtype:
+    """The narrowest unsigned type that indexes ``n`` rows."""
+    return np.min_scalar_type(max(n - 1, 0))
+
+
+def _cut_gains(s: _Sample, rows: np.ndarray, block: np.ndarray, parent_entropy: float) -> tuple[_CutGains, np.ndarray]:
+    """:func:`_dense_gains` of the block's features at one node, a segment
+    per feature, from ``rows`` (features, node rows): the node's rows sorted
+    on each of those features. Also gives the values sorted per segment."""
+    b, n = rows.shape
     xs = s.X[rows, block[:, None]].ravel()
     ys = s.y[rows].ravel()
-    del rows
     return _dense_gains(xs, ys, np.arange(b) * n, np.full(b, n), np.full(b, parent_entropy),
                         np.zeros(b, dtype=int), s.weights, s.num_classes), xs
 
 
-def _scan(s: _Sample, idx: np.ndarray, features: np.ndarray, parent_entropy: float, winnow: bool):
-    """One scan of the node of rows ``idx`` over ``features``, block by
-    block: the features that clear the winnow noise floor (all of them when
-    ``winnow`` is false) and the best split over those as (feature,
-    threshold), or None. The split is the first maximum gain ratio in
-    (feature, position) order, so ties go to the lowest feature, then the
-    lowest threshold."""
-    kept, best_ratio, split = features[:0], -np.inf, None
-    width = max(1, BLOCK_COLUMNS * len(s.X) // len(idx))
-    for block in (features[i:i + width] for i in range(0, len(features), width)):
-        g, xs = _cut_gains(s, idx, block, parent_entropy)
-        keep = _winnowed(g) if winnow else np.ones(len(block), dtype=bool)
-        kept = np.append(kept, block[keep])
+def _scan(s: _Sample, orders: np.ndarray | None, features: np.ndarray, parent_entropy: float, winnow: bool):
+    """One scan of a node over ``features``, block by block. ``orders``
+    holds the node's rows sorted on each feature, or is None at the root,
+    whose rows are all of the sample's: the root sorts them here, a block
+    at a time, and with ``winnow`` keeps only the features that clear the
+    winnow noise floor. Returns the kept features, their orders, and the
+    best split over those as (feature, threshold), or None. The split is
+    the first maximum gain ratio in (feature, position) order, so ties go
+    to the lowest feature, then the lowest threshold."""
+    root = orders is None
+    n = len(s.X) if root else orders.shape[1]
+    kept, sorted_rows = [features[:0]], [np.empty((0, n), dtype=_index_type(n))]
+    best_ratio, split = -np.inf, None
+    width = max(1, BLOCK_COLUMNS * len(s.X) // n)
+    for i in range(0, len(features), width):
+        block = features[i:i + width]
+        if root:
+            rows = np.argsort(s.X[:, block].T, axis=1, kind="stable").astype(_index_type(n))
+        else:
+            rows = orders[i:i + width]
+        g, xs = _cut_gains(s, rows, block, parent_entropy)
+        keep = _winnowed(g) if winnow and root else np.ones(len(block), dtype=bool)
+        if root:
+            kept.append(block[keep])
+            sorted_rows.append(rows[keep])
         ratios = _ratios(g)
         ratios[~keep[g.col]] = -np.inf
         if ratios.size:
-            i = int(np.argmax(ratios))
-            if ratios[i] > best_ratio:
-                p = g.pos[i]
-                best_ratio, split = ratios[i], (int(block[g.col[i]]), float(_thresholds(xs[p], xs[p + 1])))
-        del g, xs, ratios  # before the next block's scan
-    return kept, split
+            j = int(np.argmax(ratios))
+            if ratios[j] > best_ratio:
+                p = g.pos[j]
+                best_ratio, split = ratios[j], (int(block[g.col[j]]), float(_thresholds(xs[p], xs[p + 1])))
+        del g, xs, ratios, rows  # before the next block's scan
+    if not root:
+        return features, orders, split
+    return np.concatenate(kept), np.concatenate(sorted_rows), split
+
+
+def _partition(X: np.ndarray, orders: np.ndarray, j: int, feature: int, threshold: float,
+               left: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The children's orders of a node split on ``feature`` at
+    ``threshold``: each row of ``orders``, the node's rows sorted on one
+    feature (row j on the split's), split stably into the rows that go left
+    and the rest, compared with the ``<=`` of :func:`to_ruleset`'s terms.
+    Each child gets its own array, so the parent's is freed once both exist.
+    ``left`` is scratch space, a flag per row of X."""
+    rows = orders[j]
+    left[rows] = X[rows, feature] <= threshold
+    goes_left = left[orders]
+    k, n_left = len(orders), int(np.count_nonzero(goes_left[0]))
+    assert 0 < n_left < len(rows), "split left a child empty"
+    return orders[goes_left].reshape(k, n_left), orders[~goes_left].reshape(k, -1)
 
 
 def _sample(X, y, weights, num_classes) -> _Sample:
@@ -496,7 +535,7 @@ def winnow_features(X, y: np.ndarray, w: np.ndarray, num_classes: int) -> np.nda
     features = np.arange(s.X.shape[1])
     if parent_entropy <= 0:
         return features
-    return _scan(s, np.arange(len(s.X)), features, parent_entropy, True)[0]
+    return _scan(s, None, features, parent_entropy, True)[0]
 
 
 def induce(
@@ -539,12 +578,14 @@ def induce(
     sample = _sample(X, y, class_weight, num_classes)
     allowed = np.arange(X.shape[1])  # narrowed by the root's winnowing
     one_tree = np.zeros(1, dtype=int)
+    left = np.empty(X.shape[0], dtype=bool)
 
     nodes: list[TreeNode] = []
-    # stack entries: (sample indices, parent node id, is_left_child)
-    stack: list[tuple[np.ndarray, int, bool]] = [(np.arange(X.shape[0]), -1, False)]
+    # stack entries: (the node's rows sorted on each allowed feature, None
+    # at the root, parent node id, is_left_child)
+    stack: list[tuple[np.ndarray | None, int, bool]] = [(None, -1, False)]
     while stack:
-        idx, parent, is_left = stack.pop()
+        orders, parent, is_left = stack.pop()
         nid = len(nodes)
         nodes.append(TreeNode())
         if parent >= 0:
@@ -553,25 +594,26 @@ def induce(
             else:
                 nodes[parent].right = nid
 
-        hist = np.bincount(y[idx], minlength=num_classes)
+        labels = y if orders is None else y[orders[0]]
+        hist = np.bincount(labels, minlength=num_classes)
         whist = _weigh(hist[:, None], one_tree, sample.weights)[:, 0]
 
         split = None
-        if len(idx) >= min_samples and np.count_nonzero(whist) > 1:
-            allowed, split = _scan(sample, idx, allowed, _entropy(whist), winnow and nid == 0)
+        if len(labels) >= min_samples and np.count_nonzero(whist) > 1:
+            allowed, orders, split = _scan(sample, orders, allowed, _entropy(whist), winnow)
 
         node = nodes[nid]
-        node.n_samples = len(idx)
+        node.n_samples = len(labels)
         if split is None:
             node.klass = int(np.argmax(whist))
-            node.confidence = leaf_confidence(int(hist[node.klass]), len(idx))
+            node.confidence = leaf_confidence(int(hist[node.klass]), len(labels))
         else:
             node.feature, node.threshold = split
-            mask = X[idx, node.feature] <= node.threshold
-            assert mask.any() and not mask.all(), "split left a child empty"
+            lefts, rights = _partition(X, orders, int(np.searchsorted(allowed, node.feature)), *split, left)
             # push right first so the left subtree is numbered first
-            stack.append((idx[~mask], nid, False))
-            stack.append((idx[mask], nid, True))
+            stack.append((rights, nid, False))
+            stack.append((lefts, nid, True))
+            del lefts, rights
     return DecisionTree(nodes, num_classes)
 
 
@@ -844,3 +886,23 @@ def to_ruleset(
         stack.append((node.right, path + (Term(f, OP_GT, t),)))
         stack.append((node.left, path + (Term(f, OP_LE, t),)))
     return RuleSet(tuple(rules), default_label, tree.num_classes, feature_names)
+
+
+def leaf_rows(tree: DecisionTree, X) -> list[tuple[TreeNode, np.ndarray]]:
+    """Each leaf with the rows of X that reach it, ascending, in the
+    left-to-right leaf order of :func:`to_ruleset`: one walk of the tree,
+    comparing with the same ``<=`` as induction. So each leaf's rows are
+    where its rule's premise holds."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    out: list[tuple[TreeNode, np.ndarray]] = []
+    stack = [(tree.root, np.arange(X.shape[0]))]
+    while stack:
+        nid, idx = stack.pop()
+        node = tree.nodes[nid]
+        if node.is_leaf:
+            out.append((node, idx))
+            continue
+        mask = X[idx, node.feature] <= node.threshold
+        stack.append((node.right, idx[~mask]))
+        stack.append((node.left, idx[mask]))
+    return out

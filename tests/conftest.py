@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nnrex import data, evaluation, extract, mlp, rules
+from nnrex import data, evaluation, extract, mlp, rules, tree
 
 
 @pytest.fixture(scope="session")
@@ -74,7 +74,8 @@ def full_layer_outputs(net, x):
 
 
 # Oracles for code the library itself no longer needs: a tree walked row by
-# row, a premise evaluated term by term, and eclaire's per-layer rules.
+# row, a premise evaluated term by term, eclaire's per-layer rules, and its
+# intermediate rules' truths evaluated premise by premise.
 
 
 def tree_depth(t):
@@ -117,3 +118,21 @@ def eclaire_layer_rules(net, X, cfg=extract.ExtractionConfig()):
     """Each selected layer's substituted rules, in layer order, before
     eclaire unions and canonicalizes them."""
     return extract._clausewise(net, X, cfg)[1]
+
+
+def premise_truths(net, X, cfg=extract.ExtractionConfig(), input_layer=False):
+    """``extract._premise_truths`` premise by premise: each selected layer's
+    intermediate rules from ``to_ruleset``, the lowest-confidence ones
+    dropped, and each survivor's premise evaluated on the layer's
+    activations. Gives ``[(layer, [(conclusion, confidence, true rows),
+    ...]), ...]``."""
+    X, labels, default, weights = extract._label_pass(net, X, cfg)
+    layers = mlp.layer_outputs(net, X)
+    out = []
+    for layer in extract._selected_layers(net, cfg, input_layer):
+        H = layers[layer]
+        t = tree.induce(H, labels, cfg.min_samples, weights, cfg.winnow, net.num_classes)
+        kept = rules.drop_low_confidence(tree.to_ruleset(t, default), cfg.rule_drop_pct).rules
+        out.append((layer, [(r.conclusion, r.confidence, np.flatnonzero(rules.premise_mask(r.premise, H)))
+                            for r in kept]))
+    return out

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from nnrex import data, evaluation, extract, mlp, rules, tree
 from nnrex.rules import OP_GT, Rule, Term, premise_mask
-from conftest import eclaire_layer_rules, full_layer_outputs, random_net
+from conftest import eclaire_layer_rules, full_layer_outputs, premise_truths, random_net
 
 
 # Truth patterns whose substitution trees are forced to carve one TRUE leaf
@@ -238,6 +238,33 @@ class TestEclaire:
         assert not any(isinstance(X, tree.SortedColumns) for X in induced)
         assert all(isinstance(cols, tree.SortedColumns) for cols in forests)
         assert len({id(cols) for cols in forests}) == 1
+
+
+class TestPremiseTruths:
+    """The rows of each intermediate rule's leaf are where its premise
+    holds: the truths equal the premises evaluated one by one."""
+
+    @pytest.mark.parametrize("cfg", [
+        extract.ExtractionConfig(),
+        extract.ExtractionConfig(min_samples=5, rule_drop_pct=30.0),
+        extract.ExtractionConfig(sample_fraction=0.6, seed=3),
+        extract.ExtractionConfig(class_weighted=True),
+        extract.ExtractionConfig(class_weighted=True, winnow=False, rule_drop_pct=50.0),
+        extract.ExtractionConfig(winnow=False, layer_stride=2),
+    ], ids=["default", "drop30", "sample0.6", "weighted", "weighted_nowinnow_drop50", "nowinnow_stride2"])
+    @pytest.mark.parametrize("input_layer", [False, True])
+    def test_match_the_premise_oracle(self, xor_ds, quick_xor_net, cfg, input_layer):
+        X = xor_ds.features[:400]
+        three = random_net([10, 8, 6, 3], seed=26)
+        for net in (quick_xor_net, three):
+            got = extract._premise_truths(net, *extract._label_pass(net, X, cfg), cfg, input_layer)
+            expected = premise_truths(net, X, cfg, input_layer)
+            assert [layer for layer, _ in got] == [layer for layer, _ in expected]
+            for (_, pairs), (_, oracle) in zip(got, expected):
+                assert len(pairs) == len(oracle) > 0
+                for (rule, rows), (conclusion, confidence, true_rows) in zip(pairs, oracle):
+                    assert rule == Rule(frozenset(), conclusion, confidence)
+                    assert np.array_equal(rows, true_rows)
 
 
 def traced_peak(fn):

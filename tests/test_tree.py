@@ -506,6 +506,20 @@ class TestSplitSearchOracle:
             tree.sort_columns(np.array([[0.0], [bad]]))
 
 
+class TestLeafRows:
+    @settings(max_examples=100, deadline=None)
+    @given(induction_cases())
+    def test_leaves_partition_the_rows_where_their_rules_hold(self, case):
+        X, y, num_classes, class_weight, winnow, min_samples = case
+        t = tree.induce(X, y, min_samples, class_weight, winnow, num_classes)
+        leaves = tree.leaf_rows(t, X)
+        assert [leaf for leaf, _ in leaves] == [t.nodes[i] for i in t.leaf_ids()]
+        assert np.array_equal(np.sort(np.concatenate([rows for _, rows in leaves])), np.arange(len(y)))
+        for (leaf, rows), rule in zip(leaves, tree.to_ruleset(t, 0).rules, strict=True):
+            assert (leaf.klass, leaf.confidence, leaf.n_samples) == (rule.conclusion, rule.confidence, len(rows))
+            assert np.array_equal(rows, np.flatnonzero(premise_mask(rule.premise, X)))
+
+
 @st.composite
 def sparse_root_cases(draw):
     """Two-class, unit-weight problems for the sparse root scan: tied
@@ -604,9 +618,25 @@ class TestOneScanPerNode:
         monkeypatch.setattr(tree, "winnow_features", None)  # induce must not call it
         t = tree.induce(X, y, 2, winnow=True, num_classes=2)
         assert node_tuples(t) == expected and t.nodes[t.root].feature == 4
-        root_blocks = [block for s, idx, block, _ in scanned if len(idx) == len(X)]
+        root_blocks = [block for s, rows, block, _ in scanned if rows.shape[1] == len(X)]
         assert len(root_blocks) > 1
         assert sorted(np.concatenate(root_blocks).tolist()) == list(range(10))
+
+    def test_no_inner_node_sorts(self, monkeypatch):
+        # the root sorts each column once, and its descendants split its
+        # orders: every sort a plain-array tree makes is of full columns
+        rng = np.random.default_rng(14)
+        X = np.round(rng.normal(size=(300, 12)), 1)
+        y = ((X[:, 0] > 0) ^ (X[:, 1] > 0.3) ^ (rng.random(300) < 0.1)).astype(int) + (X[:, 2] > 1)
+        weights = [1.0, 0.625, 3.7]
+        expected = ref_induce(X, y, 2, weights, False, 3)
+        sorted_lengths = []
+        real = np.argsort
+        monkeypatch.setattr(np, "argsort", lambda a, *args, **kw: sorted_lengths.append(np.shape(a)[-1])
+                            or real(a, *args, **kw))
+        t = tree.induce(X, y, 2, weights, winnow=False, num_classes=3)
+        assert node_tuples(t) == expected and len(t.nodes) > 20
+        assert len(sorted_lengths) == 4 and set(sorted_lengths) == {300}
 
 
 @st.composite
