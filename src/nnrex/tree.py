@@ -479,12 +479,12 @@ def _scan(s: _Sample, orders: np.ndarray | None, features: np.ndarray, parent_en
         else:
             rows = orders[i:i + width]
         g, xs = _cut_gains(s, rows, block, parent_entropy)
-        keep = _winnowed(g) if winnow and root else np.ones(len(block), dtype=bool)
+        ratios = _ratios(g)
         if root:
+            keep = _winnowed(g) if winnow else np.ones(len(block), dtype=bool)
+            ratios[~keep[g.col]] = -np.inf
             kept.append(block[keep])
             sorted_rows.append(rows[keep])
-        ratios = _ratios(g)
-        ratios[~keep[g.col]] = -np.inf
         if ratios.size:
             j = int(np.argmax(ratios))
             if ratios[j] > best_ratio:
