@@ -31,17 +31,17 @@ narrowest unsigned type that indexes the rows, and a split hands each child
 its share of its parent's orders by a stable partition. Inner nodes gather
 their values through those orders and never sort. A parent's orders are
 freed once it has split, and the nodes waiting to grow hold disjoint rows,
-so a tree holds at most twice its root's orders. Rows given as
-:class:`SortedColumns` are
-presorted once (SLIQ, Mehta et al. 1996) and grow as a forest
-(:func:`grow_forest`): all trees induced from the same rows, as a layer's
-clause-wise substitution trees are, grow together level by level, and a
-level is one segmented scan over the active nodes of every tree, in as
-few passes as the block budget allows. The roots of two-class trees are
-scanned sparsely (SPRINT-style, Shafer et al. 1996) from their minority
-class's value groups, every root in the same passes. Nodes are then
-numbered in preorder, so each tree of a forest equals the tree grown from
-the plain array, node for node.
+so a tree holds at most twice its root's orders.
+
+Rows given as :class:`SortedColumns` are presorted once (SLIQ, Mehta et
+al. 1996) and grow as a forest (:func:`grow_forest`): all trees induced
+from the same rows, as a layer's clause-wise substitution trees are, grow
+together level by level, and a level is one segmented scan over the active
+nodes of every tree, in as few passes as the block budget allows. The
+roots of two-class trees are scanned sparsely (SPRINT-style, Shafer et al.
+1996) from their minority class's value groups, every root in the same
+passes. Nodes are then numbered in preorder, so each tree of a forest
+equals the tree grown from the plain array, node for node.
 
 Every node is scanned once, and a node that holds one class becomes a leaf
 without a scan. At the root, the same gains give both the winnowing
