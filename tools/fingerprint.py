@@ -38,6 +38,13 @@ in another checkout fingerprints that checkout. The cases:
   ``drop30``, ``sample0.6`` and ``weighted`` configs: trees over hundreds
   of rows and up to 64 columns, whose nodes span several blocks of the
   split scan.
+* ``winnow.<case>`` and ``winnow.<case>.weighted``: the features
+  ``tree.winnow_features`` keeps, over the plain rows and over their
+  ``tree.sort_columns``, with unit and with class-balancing row weights.
+  The cases are the ``default``, ``tied``, ``three`` and ``ten`` datasets
+  above, labelled as given, and ``xor.layer<k>``: each layer's values on
+  the 800 XOR rows, up to 64 columns wide, labelled by the XOR-preset
+  net's predictions.
 * ``train.<activation>.alone`` and ``train.<activation>.stack``: the
   ``mlp.save`` bytes and the per-epoch ``loss_out`` list of three seeded
   trainings on the three training splits of one small parity set, trained
@@ -60,7 +67,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from nnrex import cli, data, evaluation, extract, mlp, rules  # noqa: E402
+from nnrex import cli, data, evaluation, extract, mlp, rules, tree  # noqa: E402
 
 CONFIGS = {
     "default": extract.ExtractionConfig(),
@@ -152,7 +159,9 @@ def forward_passes():
             yield f"forward.{activation}.{case}", digest(*arrays)
 
 
-def rule_sets():
+def rule_datasets():
+    """The ``default``, ``tied``, ``three`` and ``ten`` datasets of the
+    rules cases."""
     # normal inputs, which these nets split into two classes of similar size
     X = np.random.default_rng(3).normal(0.0, 1.0, size=(100, 4))
     ds = data.Dataset(X, (X[:, 0] * X[:, 1] > 0).astype(int), ("a", "b", "c", "d"), ("neg", "pos"))
@@ -164,6 +173,11 @@ def rule_sets():
     # the signal, which a winnowing floor can keep or drop
     ranks = np.argsort(np.argsort(X10[:, 0] + X10[:, 1] + 0.5 * X10[:, 2] + 0.25 * X10[:, 3]))
     ten = data.Dataset(X10, ranks * 10 // 300, ds.feature_names, tuple(f"c{i}" for i in range(10)))
+    return {"default": ds, "tied": tied, "three": three, "ten": ten}
+
+
+def rule_sets():
+    ds, tied, three, ten = rule_datasets().values()
     for activation in ("tanh", "relu", "elu"):
         net = random_net([4, 8, 4, 2], activation, seed=3)
         for name, cfg in CONFIGS.items():
@@ -181,14 +195,41 @@ def rule_sets():
             yield f"rules.{activation}.ten.{method}", rule_line(method, ten, net10)
 
 
+def xor_net(ds) -> mlp.Mlp:
+    """The seeded XOR-preset net trained on ``ds``."""
+    preset = evaluation.NET_PRESETS["xor"]
+    return mlp.train(ds, preset.hidden_sizes, preset.activation,
+                     mlp.TrainConfig(epochs=preset.epochs, batch_size=preset.batch_size, seed=1))
+
+
 def xor_rule_sets():
     ds = data.gen_xor(800, 10, 1)
-    preset = evaluation.NET_PRESETS["xor"]
-    net = mlp.train(ds, preset.hidden_sizes, preset.activation,
-                    mlp.TrainConfig(epochs=preset.epochs, batch_size=preset.batch_size, seed=1))
+    net = xor_net(ds)
     for name in ("default", "drop30", "sample0.6", "weighted"):
         for method in ("eclaire", "eclaire_star", "pedc5"):
             yield f"xor.{name}.{method}", rule_line(method, ds, net, CONFIGS[name])
+
+
+def winnow_lines(case, X, y, num_classes):
+    """The ``winnow.<case>`` lines of rows X labelled y: the features kept
+    over the plain rows and over their column sort, with unit row weights
+    and with class-balancing ones."""
+    cols = tree.sort_columns(X)
+    balancing = data.class_weights_from_labels(y, num_classes)
+    for suffix, weights in (("", np.ones(num_classes)), (".weighted", balancing)):
+        plain, shared = (",".join(map(str, tree.winnow_features(rows, y, weights[y], num_classes)))
+                         for rows in (X, cols))
+        yield f"winnow.{case}{suffix}", f"plain={plain} sorted={shared}"
+
+
+def winnow_sets():
+    for name, ds in rule_datasets().items():
+        yield from winnow_lines(name, ds.features, ds.labels, ds.num_classes)
+    ds = data.gen_xor(800, 10, 1)
+    net = xor_net(ds)
+    labels = mlp.predict_labels(net, ds.features)
+    for k, H in enumerate(mlp.layer_outputs(net, ds.features)[:-1]):
+        yield from winnow_lines(f"xor.layer{k}", H, labels, net.num_classes)
 
 
 def train_stack(datasets, hidden, activation, cfgs, loss_outs):
@@ -227,7 +268,7 @@ def trainings():
 
 
 def main() -> None:
-    for source in (folds, csv_files, forward_passes, rule_sets, xor_rule_sets, trainings):
+    for source in (folds, csv_files, forward_passes, rule_sets, xor_rule_sets, winnow_sets, trainings):
         for case, line in source():
             print(case, line, flush=True)
 
