@@ -26,12 +26,12 @@ grows with the input but stays a few columns' worth.
 
 A tree over a plain array grows one node at a time and sorts each column
 once (SPRINT's attribute lists, Shafer et al. 1996): the root sorts its
-rows per block of features and keeps each kept feature's order, in the
-narrowest unsigned type that indexes the rows, and a split hands each child
-its share of its parent's orders by a stable partition. Inner nodes gather
-their values through those orders and never sort. A parent's orders are
-freed once it has split, and the nodes waiting to grow hold disjoint rows,
-so a tree holds at most twice its root's orders.
+rows a pass at a time and keeps the orders of the features that pass
+winnowing, in the narrowest unsigned type that indexes the rows, and a
+split hands each child its share of its parent's orders by a stable
+partition. Inner nodes gather their values through those orders and never
+sort. A parent's orders are freed once it has split, and the nodes waiting
+to grow hold disjoint rows, so a tree holds at most twice its root's orders.
 
 Rows given as :class:`SortedColumns` are presorted once (SLIQ, Mehta et
 al. 1996) and grow as a forest (:func:`grow_forest`): all trees induced
@@ -43,10 +43,11 @@ roots of two-class trees are scanned sparsely (SPRINT-style, Shafer et al.
 passes. Nodes are then numbered in preorder, so each tree of a forest
 equals the tree grown from the plain array, node for node.
 
-Every node is scanned once, and a node that holds one class becomes a leaf
-without a scan. At the root, the same gains give both the winnowing
-decision and the split, and the inner nodes scan only the features the
-root kept.
+Both growers choose their splits through one search, ``_search``, and
+only lay out and score its passes. Every node is scanned once, and a node
+that holds one class becomes a leaf without a scan. At the root, the same
+gains give both the winnowing decision and the split, and the inner nodes
+scan only the features the root kept.
 """
 from __future__ import annotations
 
@@ -101,18 +102,11 @@ class DecisionTree:
 
 
 def _xlogx(a: np.ndarray) -> np.ndarray:
+    """x log2 x of non-negative values, 0 at 0."""
     out = np.zeros(a.shape)
-    positive = a > 0
-    np.log2(a, out=out, where=positive)
-    np.multiply(out, a, out=out, where=positive)
+    np.log2(a, out=out, where=a > 0)
+    out *= a
     return out
-
-
-def _entropy(wcounts: np.ndarray) -> float:
-    total = wcounts.sum()
-    if total <= 0:
-        return 0.0
-    return float(np.log2(total) - _xlogx(wcounts).sum() / total)
 
 
 def _class_sum(a: np.ndarray) -> np.ndarray:
@@ -132,11 +126,10 @@ def _weight_and_entropy(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for c in range(len(counts)):
         counts[c] = _xlogx(counts[c])
     spread = _class_sum(counts)
-    safe = np.maximum(total, 1e-300)
+    safe = total + (total == 0)  # 1 where there is no weight, so the entropy is 0
     spread /= safe
     entropy = np.log2(safe, out=safe)
     entropy -= spread
-    entropy[~(total > 0)] = 0.0
     return total, entropy
 
 
@@ -396,12 +389,13 @@ def _passes(cells: np.ndarray, budget: int) -> list[tuple[int, int]]:
 
 
 def _search(seg_node: np.ndarray, seg_feature: np.ndarray, cells: np.ndarray, budget: int,
-            scan, winnow: bool, num_nodes: int):
+            scan, winnow: bool, num_nodes: int, on_kept=None):
     """The best split of each of ``num_nodes`` nodes over its segments,
     scanned in passes of at most ``budget`` cells: segment s is node
     seg_node[s] (non-decreasing) on feature seg_feature[s], of cells[s]
     rows. ``scan(first, last)`` gives the pass's :class:`_CutGains` and a
     function from candidate indices to the values either side of each cut.
+    With ``winnow``, ``on_kept(keep)`` hears each pass's winnow verdict.
 
     Returns each node's split feature (-1 for none) and threshold, and per
     segment whether it clears the winnow noise floor (all of them when
@@ -413,11 +407,19 @@ def _search(seg_node: np.ndarray, seg_feature: np.ndarray, cells: np.ndarray, bu
     kept = np.ones(len(cells), dtype=bool)
     for first, last in _passes(cells, budget):
         g, values = scan(first, last)
-        if winnow:
-            kept[first:last] = _winnowed(g)
         ratios = _ratios(g)
-        ratios[~kept[first:last][g.col]] = -np.inf
-        if ratios.size:
+        if winnow:
+            keep = kept[first:last] = _winnowed(g)
+            ratios[~keep[g.col]] = -np.inf
+            if on_kept is not None:
+                on_kept(keep)
+        if ratios.size and seg_node[first] == seg_node[last - 1]:
+            # one node's segments: its first best candidate
+            k, j = seg_node[first], int(np.argmax(ratios))
+            if ratios[j] > best[k]:
+                best[k], feature[k] = ratios[j], seg_feature[first + g.col[j]]
+                threshold[k] = _thresholds(*values(j))
+        elif ratios.size:
             node = seg_node[first:last][g.col]
             head = np.flatnonzero(np.append(True, node[1:] != node[:-1]))
             top = np.maximum.reduceat(ratios, head)
@@ -447,53 +449,38 @@ def _index_type(n: int) -> np.dtype:
     return np.min_scalar_type(max(n - 1, 0))
 
 
-def _cut_gains(s: _Sample, rows: np.ndarray, block: np.ndarray, parent_entropy: float) -> tuple[_CutGains, np.ndarray]:
-    """:func:`_dense_gains` of the block's features at one node, a segment
-    per feature, from ``rows`` (features, node rows): the node's rows sorted
-    on each of those features. Also gives the values sorted per segment."""
-    b, n = rows.shape
-    xs = s.X[rows, block[:, None]].ravel()
-    ys = s.y[rows].ravel()
-    return _dense_gains(xs, ys, np.arange(b) * n, np.full(b, n), np.full(b, parent_entropy),
-                        np.zeros(b, dtype=int), s.weights, s.num_classes), xs
-
-
-def _scan(s: _Sample, orders: np.ndarray | None, features: np.ndarray, parent_entropy: float, winnow: bool):
-    """One scan of a node over ``features``, block by block. ``orders``
-    holds the node's rows sorted on each feature, or is None at the root,
-    whose rows are all of the sample's: the root sorts them here, a block
-    at a time, and with ``winnow`` keeps only the features that clear the
+def _node_split(s: _Sample, orders: np.ndarray | None, features: np.ndarray, entropy: float, winnow: bool):
+    """:func:`_search` of one node, a segment per feature. ``orders`` holds
+    the node's rows sorted on each feature, or is None at the root, whose
+    rows are all of the sample's: the root sorts them a pass at a time, and
+    with ``winnow`` drops the orders of a pass's features that fail the
     winnow noise floor. Returns the kept features, their orders, and the
-    best split over those as (feature, threshold), or None. The split is
-    the first maximum gain ratio in (feature, position) order, so ties go
-    to the lowest feature, then the lowest threshold."""
+    split as (feature, threshold), or None."""
     root = orders is None
     n = len(s.X) if root else orders.shape[1]
-    kept, sorted_rows = [features[:0]], [np.empty((0, n), dtype=_index_type(n))]
-    best_ratio, split = -np.inf, None
-    width = max(1, BLOCK_COLUMNS * len(s.X) // n)
-    for i in range(0, len(features), width):
-        block = features[i:i + width]
+    sorted_rows = [np.empty((0, n), dtype=_index_type(n))]
+
+    def scan(first, last):
+        block = features[first:last]
         if root:
-            rows = np.argsort(s.X[:, block].T, axis=1, kind="stable").astype(_index_type(n))
-        else:
-            rows = orders[i:i + width]
-        g, xs = _cut_gains(s, rows, block, parent_entropy)
-        ratios = _ratios(g)
-        if root:
-            keep = _winnowed(g) if winnow else np.ones(len(block), dtype=bool)
-            ratios[~keep[g.col]] = -np.inf
-            kept.append(block[keep])
-            sorted_rows.append(rows[keep])
-        if ratios.size:
-            j = int(np.argmax(ratios))
-            if ratios[j] > best_ratio:
-                p = g.pos[j]
-                best_ratio, split = ratios[j], (int(block[g.col[j]]), float(_thresholds(xs[p], xs[p + 1])))
-        del g, xs, ratios, rows  # before the next block's scan
+            sorted_rows.append(np.argsort(s.X[:, block].T, axis=1, kind="stable").astype(_index_type(n)))
+        rows = sorted_rows[-1] if root else orders[first:last]
+        b = len(block)
+        xs = s.X[rows, block[:, None]].ravel()
+        g = _dense_gains(xs, s.y[rows].ravel(), np.arange(b) * n, np.full(b, n), np.full(b, entropy),
+                         np.zeros(b, dtype=int), s.weights, s.num_classes)
+        return g, lambda i: (xs[g.pos[i]], xs[g.pos[i] + 1])
+
+    def drop(keep):
+        sorted_rows[-1] = sorted_rows[-1][keep]
+
+    m = len(features)
+    feature, threshold, kept = _search(np.zeros(m, dtype=int), features, np.full(m, n), BLOCK_COLUMNS * len(s.X),
+                                       scan, winnow and root, 1, drop)
+    split = None if feature[0] < 0 else (int(feature[0]), float(threshold[0]))
     if not root:
         return features, orders, split
-    return np.concatenate(kept), np.concatenate(sorted_rows), split
+    return features[kept], np.concatenate(sorted_rows), split
 
 
 def _partition(X: np.ndarray, orders: np.ndarray, j: int, feature: int, threshold: float,
@@ -531,11 +518,11 @@ def winnow_features(X, y: np.ndarray, w: np.ndarray, num_classes: int) -> np.nda
     if not (weights[y] == w).all():
         raise TreeError("row weights must be their classes' weights")
     s = _sample(X, y, None if (w == 1).all() else weights, num_classes)
-    parent_entropy = _entropy(np.bincount(s.y, weights=w, minlength=num_classes))
+    entropy = _weight_and_entropy(np.bincount(s.y, weights=w, minlength=num_classes)[:, None])[1][0]
     features = np.arange(s.X.shape[1])
-    if parent_entropy <= 0:
+    if entropy <= 0:
         return features
-    return _scan(s, None, features, parent_entropy, True)[0]
+    return _node_split(s, None, features, entropy, True)[0]
 
 
 def induce(
@@ -596,11 +583,13 @@ def induce(
 
         labels = y if orders is None else y[orders[0]]
         hist = np.bincount(labels, minlength=num_classes)
-        whist = _weigh(hist[:, None], one_tree, sample.weights)[:, 0]
+        whist = _weigh(hist[:, None], one_tree, sample.weights)
 
         split = None
         if len(labels) >= min_samples and np.count_nonzero(whist) > 1:
-            allowed, orders, split = _scan(sample, orders, allowed, _entropy(whist), winnow)
+            # a copy, as whist is read again for a leaf's class
+            entropy = _weight_and_entropy(whist.copy())[1][0]
+            allowed, orders, split = _node_split(sample, orders, allowed, entropy, winnow)
 
         node = nodes[nid]
         node.n_samples = len(labels)
@@ -668,7 +657,8 @@ class _Forest:
         roots = level.scanned
         counts = level.counts[:, roots]
         minority = (2 * counts[1] <= level.n[roots]).astype(int)
-        rows = np.concatenate([np.flatnonzero(self.ys[t] == c) for t, c in zip(roots, minority)]).astype(np.int32)
+        rows = np.concatenate([np.flatnonzero(self.ys[t] == c) for t, c in zip(roots, minority)])
+        rows = rows.astype(_index_type(len(self.X)))
         bounds = np.append(0, np.cumsum(counts[minority, np.arange(len(roots))]))
         m = self.X.shape[1]
         seg_node, seg_feature = np.repeat(np.arange(len(roots)), m), np.tile(np.arange(m), len(roots))
@@ -726,10 +716,11 @@ class _Forest:
 
     def _cells(self, level: _Level, first: int, last: int) -> tuple[np.ndarray, np.ndarray]:
         """The rows and labels of the level's scanned nodes ``first`` to
-        ``last``, laid end to end: all rows at a root."""
+        ``last``, laid end to end: all rows at a root. Rows are held in the
+        narrowest type that indexes them, which every level inherits."""
         if level.rows is None:
             roots = level.scanned[first:last]
-            return (np.tile(np.arange(len(self.X), dtype=np.int32), len(roots)),
+            return (np.tile(np.arange(len(self.X), dtype=_index_type(len(self.X))), len(roots)),
                     np.concatenate([self.ys[t] for t in roots]))
         at = slice(level.bounds[first], level.bounds[last])
         return level.rows[at], level.labels[at]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -576,8 +578,8 @@ class TestSparseRootScan:
         X = rng.integers(0, 6, (300, 10)).astype(float)
         y = ((X[:, 2] > 3) ^ (rng.random(300) < 0.05)).astype(int)
         scanned = []
-        real = tree._cut_gains
-        monkeypatch.setattr(tree, "_cut_gains", lambda *args: scanned.append(args) or real(*args))
+        real = tree._dense_gains
+        monkeypatch.setattr(tree, "_dense_gains", lambda *args: scanned.append(args) or real(*args))
         # only the root may split at min_samples = rows
         t = tree.induce(tree.sort_columns(X), y, len(y), num_classes=2)
         assert t.nodes[t.root].feature == 2
@@ -595,14 +597,15 @@ class TestSparseRootScan:
 
 class TestOneScanPerNode:
     def counted_scans(self, monkeypatch):
+        """The arguments of every pass's dense scan."""
         scanned = []
-        real = tree._cut_gains
-        monkeypatch.setattr(tree, "_cut_gains", lambda *args: scanned.append(args) or real(*args))
+        real = tree._dense_gains
+        monkeypatch.setattr(tree, "_dense_gains", lambda *args: scanned.append(args) or real(*args))
         return scanned
 
     def test_pure_node_is_not_searched(self, monkeypatch):
         # the entropy of 47 rows of one class rounds above 0
-        assert tree._entropy(np.array([47.0, 0.0])) > 0
+        assert tree._weight_and_entropy(np.array([[47.0], [0.0]]))[1][0] > 0
         scanned = self.counted_scans(monkeypatch)
         X = np.random.default_rng(12).normal(size=(47, 3))
         t = tree.induce(X, np.ones(47, dtype=int), 2, num_classes=2)
@@ -611,16 +614,19 @@ class TestOneScanPerNode:
 
     def test_root_scans_each_feature_once(self, monkeypatch):
         rng = np.random.default_rng(13)
-        X = rng.integers(0, 6, (120, 10)).astype(float)
-        y = ((X[:, 4] > 2) ^ (rng.random(120) < 0.1)).astype(int)
+        # column f takes the values 10f to 10f + 5, so a scanned segment's
+        # values tell its feature
+        X = rng.integers(0, 6, (120, 10)) + 10.0 * np.arange(10)
+        y = ((X[:, 4] > 42) ^ (rng.random(120) < 0.1)).astype(int)
         expected = node_tuples(tree.induce(X, y, 2, num_classes=2))
         scanned = self.counted_scans(monkeypatch)
         monkeypatch.setattr(tree, "winnow_features", None)  # induce must not call it
         t = tree.induce(X, y, 2, winnow=True, num_classes=2)
         assert node_tuples(t) == expected and t.nodes[t.root].feature == 4
-        root_blocks = [block for s, rows, block, _ in scanned if rows.shape[1] == len(X)]
-        assert len(root_blocks) > 1
-        assert sorted(np.concatenate(root_blocks).tolist()) == list(range(10))
+        root_passes = [xs.reshape(-1, len(X)) for xs, _, _, n, *_ in scanned if n[0] == len(X)]
+        assert len(root_passes) > 1
+        features = np.concatenate([values[:, 0] // 10 for values in root_passes])
+        assert sorted(features.tolist()) == list(range(10))
 
     def test_no_inner_node_sorts(self, monkeypatch):
         # the root sorts each column once, and its descendants split its
@@ -637,6 +643,56 @@ class TestOneScanPerNode:
         t = tree.induce(X, y, 2, weights, winnow=False, num_classes=3)
         assert node_tuples(t) == expected and len(t.nodes) > 20
         assert len(sorted_lengths) == 4 and set(sorted_lengths) == {300}
+
+
+@st.composite
+def layout_cases(draw):
+    """Problems for every pass layout: 2 to 5 classes, tied integer or
+    rounded columns, labels that follow a column with some noise, optional
+    class weights, and winnowing on or off."""
+    n = draw(st.integers(2, 60))
+    m = draw(st.integers(1, 8))
+    num_classes = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        X = rng.integers(0, draw(st.integers(1, 6)), (n, m)).astype(float)
+    else:
+        X = np.round(rng.normal(size=(n, m)), 1)
+    x = X[:, draw(st.integers(0, m - 1))]
+    y = np.searchsorted(np.quantile(x, np.linspace(0, 1, num_classes + 1)[1:-1]), x)
+    y = np.where(rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.3])), rng.integers(0, num_classes, n), y)
+    class_weight = draw(st.none() | st.lists(WEIGHTS, min_size=num_classes, max_size=num_classes))
+    return X, y, num_classes, class_weight, draw(st.booleans()), draw(st.integers(2, 4))
+
+
+class TestPassLayouts:
+    # one column per pass splits a node's features over passes; 64 columns
+    # put whole nodes, and a forest level's many nodes, in one pass
+    @pytest.mark.parametrize("block", [1, 2, 64])
+    @settings(max_examples=60, deadline=None)
+    @given(case=layout_cases())
+    def test_every_block_width_matches_the_reference(self, block, case):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tree, "BLOCK_COLUMNS", block)
+            assert_matches_reference(*case)
+
+
+class TestRootMemory:
+    def test_root_holds_only_the_kept_features_orders(self):
+        # 800 rows whose labels two of 256 columns set: the sorted rows of
+        # every column, in 2-byte indices, would take 256 x 800 x 2 B
+        rng = np.random.default_rng(15)
+        X = rng.normal(size=(800, 256))
+        y = (X[:, 0] + X[:, 1] > 0).astype(int)
+        assert tree.winnow_features(X, y, np.ones(800), 2).tolist() == [0, 1]
+        tracemalloc.start()
+        try:
+            t = tree.induce(X, y, 2, num_classes=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert {n.feature for n in t.nodes if not n.is_leaf} == {0, 1}
+        assert peak < 256 * 800 * 2
 
 
 @st.composite
