@@ -378,14 +378,15 @@ def _winnowed(g: _CutGains) -> np.ndarray:
 
 def _passes(cells: np.ndarray, budget: int) -> list[tuple[int, int]]:
     """Consecutive runs of the segments of ``cells`` cells each, as (first,
-    past last), holding at most ``budget`` cells but at least one segment."""
+    past last), holding at most ``budget`` cells but at least one segment;
+    none when there are no segments."""
     runs, first, held = [], 0, 0
     for i, c in enumerate(cells.tolist()):
         if held + c > budget and i > first:
             runs.append((first, i))
             first, held = i, 0
         held += c
-    return runs + [(first, len(cells))]
+    return runs + [(first, len(cells))] if len(cells) else runs
 
 
 def _search(seg_node: np.ndarray, seg_feature: np.ndarray, cells: np.ndarray, budget: int,

@@ -68,6 +68,14 @@ class TestInduce:
         with pytest.raises(tree.TreeError):
             tree.induce(np.zeros((0, 2)), np.zeros(0, dtype=int), 2)
 
+    @pytest.mark.parametrize("num_classes", [2, 3])
+    def test_input_without_columns_is_one_leaf(self, num_classes):
+        X, y = np.zeros((6, 0)), np.arange(6) % num_classes
+        for rows in (X, tree.sort_columns(X)):
+            t = tree.induce(rows, y, 2, num_classes=num_classes)
+            assert t.leaf_count() == 1 and t.nodes[t.root].n_samples == 6
+        assert tree.winnow_features(X, y, np.ones(6), num_classes).size == 0
+
     def test_no_split_below_min_samples(self):
         rng = np.random.default_rng(1)
         X = rng.uniform(size=(40, 2))
